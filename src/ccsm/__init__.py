@@ -52,7 +52,6 @@ from .oracles import (
     check_submodular,
 )
 from .reference import OracleResult, exhaustive_solve
-from .sfm import SfmResult, penalized_oracle, sfm_min, sfm_minimal_min
 from .systems import (
     SetSystem,
     SystemVerdict,
@@ -115,7 +114,6 @@ __all__ = [
     "RingFamily",
     "SetSystem",
     "SetTransform",
-    "SfmResult",
     "SubmodularOracle",
     "SubmodularityReport",
     "Sum",
@@ -149,15 +147,12 @@ __all__ = [
     "load_graph",
     "load_instance",
     "pair_count",
-    "penalized_oracle",
     "random_closed_covering_system",
     "random_generalized_instance",
     "random_instance",
     "random_oracle",
     "random_ring",
     "search_md_system",
-    "sfm_min",
-    "sfm_minimal_min",
     "solve_cut",
     "tcut_reduce",
     "tight_depth_instance",

@@ -320,12 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ccsm",
         description="Exact submodular minimization under congruency constraints.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="parallelism hint; results never depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="pair-enumeration solver on an instance file")

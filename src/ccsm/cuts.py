@@ -22,9 +22,11 @@ from .constraints import (
     guarantees_exactness,
 )
 from .enumeration import (
+    ROUTE_PER_PAIR,
     EnumSolution,
     _compile_member,
     _node_table,
+    _ordered_candidates,
     enum_solve,
     pair_count,
 )
@@ -112,10 +114,9 @@ def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
         return enum_solve(oracle, ring, constraint, depth)
 
     n = ground.n
-    table = _node_table(oracle, ring, depth + 1)
-    feasible = _compile_member(constraint, ground)
     guaranteed = guarantees_exactness(constraint, depth)
     if n < 2:
+        # No proper cut exists; a table this small would take the per-pair route.
         return EnumSolution(
             best=None,
             value=None,
@@ -124,8 +125,10 @@ def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
             sfm_calls=0,
             skipped_empty=0,
             guaranteed=guaranteed,
-            route=table.route,
+            route=ROUTE_PER_PAIR,
         )
+    table = _node_table(oracle, ring, depth + 1)
+    feasible = _compile_member(constraint, ground)
     # Order nodes by their collected set's (value, cardinality, lex) key so
     # every run's winner is its first acceptable node in this order.
     sets = table.setmask
@@ -167,7 +170,7 @@ def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
     else:
         best_mask = int(sets[best_pos])
         value = int(table.values[best_mask])
-    ordered_cands = _ordered_candidates_from(cand_masks, table.values, n)
+    ordered_cands = _ordered_candidates(cand_masks, table.values, n)
     return EnumSolution(
         best=None if best_mask is None else ground.set_of(best_mask),
         value=value,
@@ -180,11 +183,3 @@ def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
         route=table.route,
     )
 
-
-def _ordered_candidates_from(cands: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    if len(cands) == 0:
-        return cands
-    order = np.lexsort(
-        (-reversed_bits_array(cands, n), popcount_array(cands), values[cands])
-    )
-    return cands[order]

@@ -6,12 +6,21 @@ contain A and avoid B, and finally picks the best constraint-feasible set
 among the collected minimizers.  For a prime-power modulus m the depth
 m - 1 (or k * (m - 1) for k simultaneous congruences) makes this exact.
 
-Minimal minimizers for *all* pairs at once come from a dense dynamic
-program over the 3**n (in A, in B, free) assignments: a pair with a free
-element is the union of the two pairs that pin it, and the scaled
-objective g(S) = (n + 1) f(S) + |S| has a unique minimizer on every
-non-empty sublattice, so taking the better child is well-defined.  When
-the pair budget is small the solver enumerates pairs directly instead.
+Every pinned minimizer minimizes the scaled objective
+g(S) = (n + 1) f(S) + |S| over the dense 2**n table: minimizers of f on a
+lattice are closed under union and intersection, so g has a unique
+minimizer on every non-empty sublattice and it is the inclusion-minimal
+minimizer of f.  ``_node_table`` is the one place that computes them, for
+one shared pair list, by one of two routes chosen from the input size:
+
+- the ternary route fills a ``(3,)*n`` array whose axis digit is 0 (free),
+  1 (in A) or 2 (in B).  A pair with a free element is the union of the
+  two pairs that pin it, so one min-reduction per axis answers all 3**n
+  pairs at once, and each pair reads its own cell;
+- the per-pair route scans each pair's interval of the table directly.
+
+The ternary route runs when n is within ``ternary_cap()`` and there are
+more than ``_PAIR_SWITCH`` pairs; both return identical arrays.
 """
 
 from __future__ import annotations
@@ -35,14 +44,13 @@ from .constraints import (
 from .errors import InputError
 from .ground import (
     interval_masks,
+    iter_bits,
     popcount_array,
     reversed_bits_array,
 )
 from .lattice import RingFamily
-from .limits import _PAIR_SWITCH, require_exhaustible, ternary_cap
+from .limits import _PAIR_SWITCH, _SENTINEL, require_exhaustible, ternary_cap
 from .oracles import SubmodularOracle
-
-_SENTINEL = np.iinfo(np.int64).max // 4
 
 ROUTE_TERNARY = "ternary"
 ROUTE_PER_PAIR = "per_pair"
@@ -59,23 +67,37 @@ def pair_count(n: int, d: int) -> int:
     return total
 
 
+def _pair_masks(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of A and of B for every candidate pair, in candidate order.
+
+    The sets of size <= d, in (size, lex) order, are the A side; the B
+    sides of one A are the same list filtered to the sets disjoint from A,
+    which keeps their (size, lex) order.
+    """
+    small = np.array(
+        [sum(1 << i for i in c) for k in range(min(n, d) + 1) for c in combinations(range(n), k)],
+        dtype=np.int64,
+    )
+    partners = [small[(small & a) == 0] for a in small.tolist()]
+    return np.repeat(small, [len(p) for p in partners]), np.concatenate(partners)
+
+
 def candidate_pairs(n: int, d: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All disjoint index pairs (A, B) up to size d, in (size, lex) order of
     A and then of B."""
     if n < 0 or d < 0:
         raise InputError("candidate_pairs needs n >= 0 and d >= 0")
-    indices = range(n)
-    for sa in range(min(n, d) + 1):
-        for a in combinations(indices, sa):
-            rest = [i for i in indices if i not in a]
-            for sb in range(min(len(rest), d) + 1):
-                for b in combinations(rest, sb):
-                    yield a, b
+    amask, bmask = _pair_masks(n, d)
+    for a, b in zip(amask.tolist(), bmask.tolist()):
+        yield tuple(iter_bits(a)), tuple(iter_bits(b))
 
 
 @dataclass
 class _NodeTable:
-    """Per-pair results: masks of A and B, the minimal minimizer, emptiness."""
+    """Per-pair results: masks of A and B, the minimal minimizer, emptiness.
+
+    ``setmask`` is 0 wherever ``nonempty`` is false.
+    """
 
     n: int
     amask: np.ndarray
@@ -95,94 +117,56 @@ def _scaled_table(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarra
     return values, np.where(feasible, scaled, _SENTINEL)
 
 
-def _node_table_ternary(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeTable:
-    n = oracle.ground.n
-    values, g = _scaled_table(oracle, ring)
-    p3 = [3**i for i in range(n + 1)]
-    size = p3[n]
-    idx3 = np.arange(size, dtype=np.int64)
-    # Ternary digit i: 0 = free, 1 = pinned into A, 2 = pinned into B.
-    gval = np.full(size, _SENTINEL, dtype=np.int64)
-    setmask = np.zeros(size, dtype=np.int64)
-    masks = np.arange(1 << n, dtype=np.int64)
-    tern = np.zeros(1 << n, dtype=np.int64)
+def _node_table_ternary(
+    g: np.ndarray, n: int, amask: np.ndarray, bmask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Axis k of the (3,)*n arrays, like axis k of g.reshape((2,)*n), is
+    # element n - 1 - k, so the flat index of a pair is the sum of
+    # 3**i * digit_i.  Digit 1 (in A) holds bit 1 and digit 2 (in B) bit 0.
+    gval = np.full((3,) * n, _SENTINEL, dtype=np.int64)
+    sets = np.zeros((3,) * n, dtype=np.int64)
+    pinned = (slice(2, 0, -1),) * n
+    gval[pinned] = g.reshape((2,) * n)
+    sets[pinned] = np.arange(1 << n, dtype=np.int64).reshape((2,) * n)
+    for axis in range(n):
+        free, left, right = ((slice(None),) * axis + (digit,) for digit in range(3))
+        take_left = gval[left] <= gval[right]
+        gval[free] = np.where(take_left, gval[left], gval[right])
+        sets[free] = np.where(take_left, sets[left], sets[right])
+    index = np.zeros_like(amask)
     for i in range(n):
-        bit = (masks >> i) & 1
-        tern += np.where(bit == 1, p3[i], 2 * p3[i])
-    gval[tern] = g
-    setmask[tern] = masks
-    for i in range(n):
-        step = p3[i]
-        free = np.nonzero((idx3 // step) % 3 == 0)[0]
-        left = gval[free + step]
-        right = gval[free + 2 * step]
-        take_left = left <= right
-        gval[free] = np.where(take_left, left, right)
-        setmask[free] = np.where(take_left, setmask[free + step], setmask[free + 2 * step])
-    count_a = np.zeros(size, dtype=np.int8)
-    count_b = np.zeros(size, dtype=np.int8)
-    for i in range(n):
-        digit = (idx3 // p3[i]) % 3
-        count_a += digit == 1
-        count_b += digit == 2
-    keep = np.nonzero((count_a <= dmax) & (count_b <= dmax))[0]
-    amask = np.zeros(len(keep), dtype=np.int64)
-    bmask = np.zeros(len(keep), dtype=np.int64)
-    for i in range(n):
-        digit = (keep // p3[i]) % 3
-        amask |= (digit == 1).astype(np.int64) << i
-        bmask |= (digit == 2).astype(np.int64) << i
-    return _NodeTable(
-        n=n,
-        amask=amask,
-        bmask=bmask,
-        setmask=setmask[keep],
-        nonempty=gval[keep] != _SENTINEL,
-        values=values,
-        route=ROUTE_TERNARY,
-    )
+        index += 3**i * (((amask >> i) & 1) + 2 * ((bmask >> i) & 1))
+    nonempty = gval.ravel()[index] != _SENTINEL
+    return np.where(nonempty, sets.ravel()[index], 0), nonempty
 
 
-def _node_table_per_pair(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeTable:
-    n = oracle.ground.n
-    values, g = _scaled_table(oracle, ring)
-    amasks: list[int] = []
-    bmasks: list[int] = []
-    setmasks: list[int] = []
-    nonempty: list[bool] = []
-    for a, b in candidate_pairs(n, dmax):
-        a_mask = sum(1 << i for i in a)
-        b_mask = sum(1 << i for i in b)
-        free = [i for i in range(n) if not ((a_mask | b_mask) >> i) & 1]
-        idx = interval_masks(a_mask, free)
+def _node_table_per_pair(
+    g: np.ndarray, n: int, amask: np.ndarray, bmask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    setmask = np.zeros(len(amask), dtype=np.int64)
+    nonempty = np.zeros(len(amask), dtype=bool)
+    for k, (a, b) in enumerate(zip(amask.tolist(), bmask.tolist())):
+        idx = interval_masks(a, [i for i in range(n) if not ((a | b) >> i) & 1])
         local = g[idx]
-        k = int(np.argmin(local))
-        amasks.append(a_mask)
-        bmasks.append(b_mask)
-        if local[k] == _SENTINEL:
-            setmasks.append(0)
-            nonempty.append(False)
-        else:
-            setmasks.append(int(idx[k]))
-            nonempty.append(True)
-    return _NodeTable(
-        n=n,
-        amask=np.array(amasks, dtype=np.int64),
-        bmask=np.array(bmasks, dtype=np.int64),
-        setmask=np.array(setmasks, dtype=np.int64),
-        nonempty=np.array(nonempty, dtype=bool),
-        values=values,
-        route=ROUTE_PER_PAIR,
-    )
+        j = int(np.argmin(local))
+        if local[j] != _SENTINEL:
+            setmask[k] = idx[j]
+            nonempty[k] = True
+    return setmask, nonempty
 
 
 def _node_table(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeTable:
+    """Minimal minimizers of every candidate pair up to depth ``dmax``."""
     n = oracle.ground.n
     require_exhaustible(n, "pair-enumeration solving")
-    pairs = pair_count(n, dmax)
-    if n <= ternary_cap() and pairs > _PAIR_SWITCH:
-        return _node_table_ternary(oracle, ring, dmax)
-    return _node_table_per_pair(oracle, ring, dmax)
+    values, g = _scaled_table(oracle, ring)
+    amask, bmask = _pair_masks(n, dmax)
+    if n <= ternary_cap() and len(amask) > _PAIR_SWITCH:
+        route, nodes = ROUTE_TERNARY, _node_table_ternary
+    else:
+        route, nodes = ROUTE_PER_PAIR, _node_table_per_pair
+    setmask, nonempty = nodes(g, n, amask, bmask)
+    return _NodeTable(n, amask, bmask, setmask, nonempty, values, route)
 
 
 @dataclass(frozen=True)
@@ -207,14 +191,9 @@ class EnumSolution:
     route: str = ROUTE_TERNARY
 
 
-def _ordered_candidates(table: _NodeTable) -> np.ndarray:
+def _ordered_candidates(cands: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Distinct collected sets ordered by (value, cardinality, lex)."""
-    cands = np.unique(table.setmask[table.nonempty])
-    if len(cands) == 0:
-        return cands
-    vals = table.values[cands]
-    rev = reversed_bits_array(cands, table.n)
-    order = np.lexsort((-rev, popcount_array(cands), vals))
+    order = np.lexsort((-reversed_bits_array(cands, n), popcount_array(cands), values[cands]))
     return cands[order]
 
 
@@ -247,7 +226,7 @@ def enum_solve(
     sfm_calls = int(table.nonempty.sum())
     skipped = int(len(table.nonempty) - sfm_calls)
     assert sfm_calls + skipped == pair_count(n, depth)
-    ordered = _ordered_candidates(table)
+    ordered = _ordered_candidates(np.unique(table.setmask[table.nonempty]), table.values, n)
     if constraint is None:
         feasible = lambda mask: True  # noqa: E731
     else:

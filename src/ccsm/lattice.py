@@ -21,7 +21,7 @@ from .limits import require_exhaustible
 class RingFamily:
     """Lattice of subsets closed under union and intersection.
 
-    Treat instances as immutable; ``restrict`` returns new objects.
+    Treat instances as immutable.
     """
 
     def __init__(
@@ -110,32 +110,6 @@ class RingFamily:
 
     def member(self, subset: Iterable[str]) -> bool:
         return self.member_mask(self.ground.mask_of(subset))
-
-    # -- restriction ----------------------------------------------------
-
-    def restrict_mask(self, a_mask: int, b_mask: int) -> "RingFamily | None":
-        """Sublattice of members containing A and avoiding B, or None if empty.
-
-        The result has its forced sets normalized: forced-in is the closure
-        of ``forced_in | A``, and any free element whose closure meets the
-        excluded set is swept into forced-out.  One sweep suffices because
-        exclusion propagates only through closures of single additions.
-        """
-        if a_mask & b_mask:
-            both = self.ground.labels_of(a_mask & b_mask)
-            raise InputError(f"restriction sets overlap on {both}")
-        new_in = self.closure_mask(a_mask)
-        excluded = self.forced_out | b_mask
-        if new_in & excluded:
-            return None
-        new_out = excluded
-        for x in iter_bits(self.ground.full_mask & ~new_in & ~excluded):
-            if self.closure_mask(new_in | (1 << x)) & excluded:
-                new_out |= 1 << x
-        return RingFamily(self.ground, new_in, new_out, self.implications)
-
-    def restrict(self, include: Iterable[str], exclude: Iterable[str]) -> "RingFamily | None":
-        return self.restrict_mask(self.ground.mask_of(include), self.ground.mask_of(exclude))
 
     # -- dense views ----------------------------------------------------
 

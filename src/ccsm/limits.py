@@ -22,6 +22,11 @@ _TERNARY_CAP = 14
 # Below this many pairs the per-pair route beats building the ternary table.
 _PAIR_SWITCH = 2000
 
+# Marks non-members in the solver's scaled int64 tables (int64 max // 4).
+# Oracles refuse inputs whose scaled values (n + 2) * range_bound could
+# reach it, so every int64 sum the package forms stays exact.
+_SENTINEL = (2**63 - 1) // 4
+
 
 def exhaustive_cap() -> int:
     """Current cap on ground-set size for 2**n table computations."""

@@ -3,7 +3,9 @@
 A :class:`SubmodularOracle` pairs a ground set with one of the function
 specs below and exposes scalar, vectorized, and full-table evaluation.
 Values are integers throughout; every oracle also carries ``range_bound``,
-an upper bound on ``max |f|`` used to build penalty terms.
+an upper bound on ``max |f|``.  Functions whose values could push the
+solver's scaled int64 tables past ``limits._SENTINEL`` are refused with
+``InputError``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .ground import GroundSet, iter_bits
-from .limits import require_exhaustible
+from .limits import _SENTINEL, require_exhaustible
 
 
 @dataclass(frozen=True)
@@ -61,20 +63,7 @@ class _Projected:
     source_bits: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Penalized:
-    """Internal: base function plus a large penalty per violated implication."""
-
-    base: "SubmodularOracle"
-    forced_in: int
-    free_bits: tuple[int, ...]
-    arcs: tuple[tuple[int, int], ...]
-    multiplier: int
-
-
-FunctionSpec = (
-    Modular | CutUndirected | CutDirected | Coverage | ExplicitTable | _Projected | _Penalized
-)
+FunctionSpec = Modular | CutUndirected | CutDirected | Coverage | ExplicitTable | _Projected
 
 
 def _check_edge_list(ground: GroundSet, items, kind: str):
@@ -113,18 +102,18 @@ class SubmodularOracle:
         ground, spec = self.ground, self.spec
         n = ground.n
         if isinstance(spec, Modular):
-            w = np.zeros(n, dtype=np.int64)
+            weights = [0] * n
             for lab, wt in spec.weights.items():
-                w[ground.index(lab)] = int(wt)
-            self._weights = w
-            self.range_bound = int(np.abs(w).sum())
+                weights[ground.index(lab)] = int(wt)
+            self._set_range_bound(sum(abs(w) for w in weights))
+            self._weights = np.array(weights, dtype=np.int64)
         elif isinstance(spec, (CutUndirected, CutDirected)):
             items = spec.edges if isinstance(spec, CutUndirected) else spec.arcs
             triples = _check_edge_list(ground, items, type(spec).__name__)
+            self._set_range_bound(sum(t[2] for t in triples))
             self._eu = np.array([t[0] for t in triples], dtype=np.int64)
             self._ev = np.array([t[1] for t in triples], dtype=np.int64)
             self._ew = np.array([t[2] for t in triples], dtype=np.int64)
-            self.range_bound = int(self._ew.sum())
         elif isinstance(spec, Coverage):
             items = sorted({it for its in spec.covered_sets.values() for it in its})
             item_index = {it: j for j, it in enumerate(items)}
@@ -135,21 +124,37 @@ class SubmodularOracle:
                     covers[i] |= 1 << item_index[it]
             self._covers = covers
             self._n_items = len(items)
-            self.range_bound = len(items)
+            self._set_range_bound(len(items))
         elif isinstance(spec, ExplicitTable):
-            vals = np.asarray(spec.values, dtype=np.int64)
+            try:
+                vals = np.asarray(spec.values, dtype=np.int64)
+            except OverflowError:
+                raise InputError("explicit table values must fit in int64") from None
             if vals.shape != (1 << n,):
                 raise InputError(
                     f"explicit table needs exactly 2**n = {1 << n} values, got {vals.shape}"
                 )
+            self._set_range_bound(max(int(vals.max()), -int(vals.min())))
             self._table = vals
-            self.range_bound = int(np.abs(vals).max()) if len(vals) else 0
         elif isinstance(spec, _Projected):
-            self.range_bound = spec.base.range_bound
-        elif isinstance(spec, _Penalized):
-            self.range_bound = spec.base.range_bound + spec.multiplier * len(spec.arcs)
+            self._set_range_bound(spec.base.range_bound)
         else:
             raise InputError(f"unknown function spec {spec!r}")
+
+    def _set_range_bound(self, bound: int) -> None:
+        """Record ``bound >= max |f|``, computed on Python ints.
+
+        The solver's scaled objective ``(n + 1) * f + |S|`` lives in int64
+        next to ``_SENTINEL``; inputs that could reach it are refused rather
+        than left to wrap around.
+        """
+        n = self.ground.n
+        if (n + 2) * bound > _SENTINEL:
+            raise InputError(
+                f"function values up to {bound} on {n} elements are too large for exact "
+                f"int64 arithmetic: (n + 2) * {bound} exceeds {_SENTINEL}"
+            )
+        self.range_bound = bound
 
     # -- evaluation -----------------------------------------------------
 
@@ -186,8 +191,6 @@ class SubmodularOracle:
             for j, b in enumerate(spec.source_bits):
                 base_mask |= ((mask >> b) & 1) << j
             return spec.base.eval_mask(base_mask)
-        if isinstance(spec, _Penalized):
-            return int(self.eval_masks(np.array([mask], dtype=np.int64))[0])
         raise AssertionError(spec)
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
@@ -226,15 +229,6 @@ class SubmodularOracle:
             for j, b in enumerate(spec.source_bits):
                 base_masks |= ((masks >> b) & 1) << j
             return spec.base.eval_masks(base_masks)
-        if isinstance(spec, _Penalized):
-            full = np.full(len(masks), spec.forced_in, dtype=np.int64)
-            for j, b in enumerate(spec.free_bits):
-                full |= ((masks >> j) & 1) << b
-            out = spec.base.eval_masks(full)
-            for u, v in spec.arcs:
-                viol = ((full >> u) & ~(full >> v) & 1).astype(np.int64)
-                out = out + viol * spec.multiplier
-            return out
         raise AssertionError(spec)
 
     def value_table(self) -> np.ndarray:

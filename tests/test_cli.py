@@ -321,9 +321,23 @@ def test_bench_families(capsys):
     assert payload["all_agree"] is True
 
 
-def test_threads_flag_is_accepted(capsys, tight_instance_file):
-    rc, payload, _ = run(
-        capsys, "--threads", "2", "solve", "--instance", tight_instance_file
+@pytest.mark.parametrize(
+    "weights",
+    [{"a": 2**62, "b": 2**62, "c": -5}, {"a": 2**63, "b": 0, "c": 0}],
+)
+def test_values_beyond_int64_headroom_exit_two(capsys, tmp_path, weights):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ground_set": ["a", "b", "c"],
+                "function": {"type": "modular", "weights": weights},
+                "constraint": {"type": "congruency", "modulus": 2, "residue": 0},
+            }
+        )
     )
-    assert rc == 0
-    assert payload["value"] == -1
+    for command in ("solve", "oracle"):
+        rc, out, err = run(capsys, command, "--instance", str(path))
+        assert rc == 2
+        assert out is None
+        assert "int64" in err

@@ -13,6 +13,8 @@ from ccsm.constraints import (
 from ccsm.enumeration import (
     _node_table_per_pair,
     _node_table_ternary,
+    _pair_masks,
+    _scaled_table,
     candidate_pairs,
     enum_solve,
     pair_count,
@@ -29,8 +31,17 @@ from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
 from ccsm.oracles import CutUndirected, Modular, SubmodularOracle
 from ccsm.reference import exhaustive_solve
-from ccsm.sfm import sfm_min
-from helpers import naive_pairs
+from helpers import brute_constrained_min, naive_pairs, naive_ring_member, powerset
+
+ROUTES = {"ternary": _node_table_ternary, "per_pair": _node_table_per_pair}
+
+
+def _route_tables(oracle, ring, d):
+    """The shared pair masks and each route's (setmask, nonempty) arrays."""
+    n = oracle.ground.n
+    _, g = _scaled_table(oracle, ring)
+    amask, bmask = _pair_masks(n, d)
+    return amask, bmask, {name: route(g, n, amask, bmask) for name, route in ROUTES.items()}
 
 
 def test_pair_count_frozen_values():
@@ -87,20 +98,66 @@ def test_both_node_table_routes_agree():
         oracle = random_oracle(rng, family, n)
         ring = random_ring(rng, oracle.ground, lattice_prob=0.5)
         d = int(rng.integers(0, 4))
-        tern = _node_table_ternary(oracle, ring, d)
-        pp = _node_table_per_pair(oracle, ring, d)
-        assert len(tern.amask) == len(pp.amask) == pair_count(n, d)
-        lhs = {
-            (int(a), int(b)): (int(s), bool(ne))
-            for a, b, s, ne in zip(tern.amask, tern.bmask, tern.setmask, tern.nonempty)
-        }
-        # The collected set is meaningful only for nonempty sublattices;
-        # empty nodes may carry arbitrary mask content in either route.
-        for a, b, s, ne in zip(pp.amask, pp.bmask, pp.setmask, pp.nonempty):
-            got_set, got_ne = lhs[(int(a), int(b))]
-            assert got_ne == bool(ne)
-            if ne:
-                assert got_set == int(s)
+        amask, _, tables = _route_tables(oracle, ring, d)
+        assert len(amask) == pair_count(n, d)
+        (tern_set, tern_ne), (pp_set, pp_ne) = tables["ternary"], tables["per_pair"]
+        assert np.array_equal(tern_ne, pp_ne)
+        assert np.array_equal(tern_set, pp_set)
+
+
+def _node_table_cases():
+    abc = GroundSet(("a", "b", "c"))
+    square = GroundSet(("a", "b", "c", "d"))
+    cycle = tuple((u, v, 1) for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")))
+    yield SubmodularOracle(abc, Modular({})), RingFamily.full(abc), 2
+    yield SubmodularOracle(abc, Modular({"a": 0, "b": -1})), RingFamily.full(abc), 1
+    yield (
+        SubmodularOracle(square, CutUndirected(cycle)),
+        RingFamily.from_labels(square, forced_in=("a",), forced_out=("c",)),
+        2,
+    )
+    empty = RingFamily.from_labels(abc, ("a",), ("b",), implications=[("a", "b")])
+    yield SubmodularOracle(abc, Modular({})), empty, 1
+    rng = np.random.default_rng(34)
+    for _ in range(30):
+        n = int(rng.integers(2, 8))
+        family = ("modular", "cut", "cut_directed", "coverage", "table")[int(rng.integers(0, 5))]
+        oracle = random_oracle(rng, family, n)
+        yield oracle, random_ring(rng, oracle.ground, lattice_prob=0.7), int(rng.integers(1, 4))
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_node_table_matches_brute_force(route):
+    """Every pair's entry is the inclusion-minimal minimizer of f over the
+    members that contain A and avoid B, found by a literal scan."""
+    for oracle, ring, d in _node_table_cases():
+        g = oracle.ground
+        labels = g.elements
+        fin = g.labels_of(ring.forced_in)
+        fout = g.labels_of(ring.forced_out)
+        arcs = [(labels[u], labels[v]) for u, v in ring.implications]
+        value = {s: oracle.eval(s) for s in powerset(labels)}
+        amask, bmask, tables = _route_tables(oracle, ring, d)
+        setmask, nonempty = tables[route]
+        pairs = list(candidate_pairs(g.n, d))
+        assert len(pairs) == len(amask)
+        for k, (a, b) in enumerate(pairs):
+            a_labels = [labels[i] for i in a]
+            b_labels = [labels[i] for i in b]
+            assert int(amask[k]) == g.mask_of(a_labels)
+            assert int(bmask[k]) == g.mask_of(b_labels)
+            best, optima = brute_constrained_min(
+                labels,
+                value.__getitem__,
+                lambda s: naive_ring_member(s, (*fin, *a_labels), (*fout, *b_labels), arcs),
+            )
+            assert bool(nonempty[k]) == (best is not None)
+            if best is None:
+                assert setmask[k] == 0
+                continue
+            got = g.set_of(int(setmask[k]))
+            assert got in optima
+            assert all(got <= opt for opt in optima)
 
 
 def test_depth_family_m3_frozen_solution():
@@ -141,8 +198,7 @@ def test_unconstrained_run_returns_the_lattice_minimum():
         if ring.is_empty:
             continue
         sol = enum_solve(oracle, ring)
-        want = sfm_min(oracle, ring)
-        assert sol.value == want.value
+        assert sol.value == exhaustive_solve(oracle, ring, None).optimum
         assert sol.guaranteed
 
 

@@ -1,4 +1,4 @@
-"""Ring families: membership, closure, restriction, dense views."""
+"""Ring families: membership, closure, dense views."""
 
 from __future__ import annotations
 
@@ -116,44 +116,3 @@ def test_members_come_in_cardinality_then_label_order():
     # Among the singletons, "b" precedes "c" ({a} alone violates a -> b).
     singles = [s for s in members if len(s) == 1]
     assert singles == [frozenset({"b"}), frozenset({"c"})]
-
-
-def test_restrict_normalizes_forced_sets():
-    ring = RingFamily.full(ABC)
-    sub = ring.restrict(("a",), ("b",))
-    assert sub.forced_in == ABC.mask_of(("a",))
-    assert sub.forced_out == ABC.mask_of(("b",))
-
-
-def test_restrict_returns_none_exactly_when_empty():
-    ring = RingFamily.from_labels(ABC, implications=[("a", "b")])
-    assert ring.restrict(("a",), ("b",)) is None
-    sub = ring.restrict(("a",), ())
-    assert sub is not None
-    # a -> b makes b forced in once a is.
-    assert sub.forced_in == ABC.mask_of(("a", "b"))
-
-
-def test_restrict_rejects_overlapping_sets():
-    with pytest.raises(InputError):
-        RingFamily.full(ABC).restrict(("a",), ("a",))
-
-
-@settings(max_examples=60)
-@given(ring_families(max_n=5), st.data())
-def test_restrict_members_are_exactly_the_filtered_members(ring, data):
-    g = ring.ground
-    a_mask = data.draw(st.integers(min_value=0, max_value=g.full_mask))
-    b_mask = data.draw(st.integers(min_value=0, max_value=g.full_mask)) & ~a_mask
-    sub = ring.restrict_mask(a_mask, b_mask)
-    table = ring.feasibility_table()
-    want = [
-        m
-        for m in range(1 << g.n)
-        if table[m] and (m & a_mask) == a_mask and not (m & b_mask)
-    ]
-    if sub is None:
-        assert want == []
-    else:
-        got = [m for m in range(1 << g.n) if sub.feasibility_table()[m]]
-        assert got == want

@@ -7,6 +7,7 @@ import pytest
 
 from ccsm.errors import InputError
 from ccsm.ground import GroundSet
+from ccsm.limits import _SENTINEL
 from ccsm.oracles import (
     Coverage,
     CutDirected,
@@ -158,6 +159,22 @@ def test_range_bound_dominates_all_values():
     for oracle, _ in _random_oracles(seed=11):
         table = oracle.value_table()
         assert int(np.abs(table).max()) <= oracle.range_bound
+
+
+def test_values_beyond_int64_headroom_are_refused():
+    # 2**62 + 2**62 wraps to -2**63 in int64; 2**63 does not fit at all.
+    for weights in ({"a": 2**62, "b": 2**62, "c": -5}, {"a": 2**63}):
+        with pytest.raises(InputError, match="int64"):
+            SubmodularOracle(ABC, Modular(weights))
+    with pytest.raises(InputError, match="int64"):
+        SubmodularOracle(ABC, CutUndirected((("a", "b", 2**63),)))
+    with pytest.raises(InputError, match="int64"):
+        SubmodularOracle(ABC, ExplicitTable((0,) * 7 + (2**63,)))
+    # The largest bound with (n + 2) * range_bound <= _SENTINEL is accepted.
+    limit = _SENTINEL // 5
+    assert SubmodularOracle(ABC, Modular({"a": -limit})).range_bound == limit
+    with pytest.raises(InputError, match="int64"):
+        SubmodularOracle(ABC, Modular({"a": -limit - 1}))
 
 
 def test_check_submodular_accepts_all_builtin_kinds():

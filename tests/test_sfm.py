@@ -1,72 +1,82 @@
-"""Brute-force submodular minimization over ring families."""
+"""Submodular minimization over ring families, as the solver does it.
+
+Every test reads the (empty, empty) pair of the node table, which is the
+inclusion-minimal minimizer of f over the whole ring family, from both
+node-table routes.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from ccsm.errors import InfeasibleError
+from ccsm.enumeration import (
+    _node_table_per_pair,
+    _node_table_ternary,
+    _pair_masks,
+    _scaled_table,
+)
 from ccsm.families import random_oracle, random_ring
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
-from ccsm.oracles import CutUndirected, Modular, SubmodularOracle, check_submodular
-from ccsm.sfm import BRUTE_FORCE, penalized_oracle, sfm_min, sfm_minimal_min
+from ccsm.oracles import CutUndirected, Modular, SubmodularOracle
 from helpers import brute_constrained_min, card_lex_key, naive_ring_member
 
 ABC = GroundSet(("a", "b", "c"))
 SQUARE = GroundSet(("a", "b", "c", "d"))
 CYCLE4 = tuple((u, v, 1) for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")))
+ROUTES = (_node_table_ternary, _node_table_per_pair)
+
+
+def _minimal_min(oracle, ring):
+    """(minimizer, value) from each route, or None where the ring is empty."""
+    n = oracle.ground.n
+    _, g = _scaled_table(oracle, ring)
+    amask, bmask = _pair_masks(n, 0)
+    out = []
+    for route in ROUTES:
+        setmask, nonempty = route(g, n, amask, bmask)
+        if not nonempty[0]:
+            out.append(None)
+            continue
+        best = oracle.ground.set_of(int(setmask[0]))
+        out.append((best, oracle.eval(best)))
+    return out
 
 
 def test_unconstrained_modular_minimum():
     f = SubmodularOracle(ABC, Modular({"a": -2, "b": 1, "c": 3}))
-    res = sfm_min(f, RingFamily.full(ABC))
-    assert res.minimizer == frozenset({"a"})
-    assert res.value == -2
-    assert res.backend == BRUTE_FORCE
-    assert res.evals == 8
+    for res in _minimal_min(f, RingFamily.full(ABC)):
+        assert res == (frozenset({"a"}), -2)
 
 
 def test_forced_in_element_changes_the_minimum():
     g = GroundSet(("a", "b"))
     f = SubmodularOracle(g, Modular({"a": -2, "b": 1}))
     ring = RingFamily.from_labels(g, forced_in=("b",))
-    res = sfm_min(f, ring)
-    assert res.minimizer == frozenset({"a", "b"})
-    assert res.value == -1
+    for res in _minimal_min(f, ring):
+        assert res == (frozenset({"a", "b"}), -1)
 
 
 def test_cut_with_forced_sides():
     f = SubmodularOracle(SQUARE, CutUndirected(CYCLE4))
     ring = RingFamily.from_labels(SQUARE, forced_in=("a",), forced_out=("c",))
-    res = sfm_min(f, ring)
-    assert res.value == 2
-
-
-def test_empty_ring_raises():
-    ring = RingFamily.from_labels(ABC, forced_in=("a",), implications=[("a", "b")])
-    sub = RingFamily(ABC, ring.forced_in, ABC.mask_of(("b",)), ring.implications)
-    f = SubmodularOracle(ABC, Modular({}))
-    with pytest.raises(InfeasibleError):
-        sfm_min(f, sub)
-    with pytest.raises(InfeasibleError):
-        sfm_minimal_min(f, sub)
+    for res in _minimal_min(f, ring):
+        # {a} is the smallest of the optimal sides of value 2.
+        assert res == (frozenset({"a"}), 2)
 
 
 def test_minimal_min_of_the_zero_function_is_empty():
     f = SubmodularOracle(ABC, Modular({}))
-    res = sfm_minimal_min(f, RingFamily.full(ABC))
-    assert res.minimizer == frozenset()
-    assert res.value == 0
+    for res in _minimal_min(f, RingFamily.full(ABC)):
+        assert res == (frozenset(), 0)
 
 
 def test_minimal_min_ignores_zero_weight_padding():
     g = GroundSet(("a", "b"))
     f = SubmodularOracle(g, Modular({"a": 0, "b": -1}))
-    res = sfm_minimal_min(f, RingFamily.full(g))
     # {b} and {a, b} are both optimal; only {b} is inclusion-minimal.
-    assert res.minimizer == frozenset({"b"})
-    assert res.value == -1
+    for res in _minimal_min(f, RingFamily.full(g)):
+        assert res == (frozenset({"b"}), -1)
 
 
 def _random_cases(count, max_n, seed):
@@ -83,69 +93,32 @@ def _random_cases(count, max_n, seed):
         yield oracle, ring
 
 
+def _brute(oracle, ring):
+    g = oracle.ground
+    fin = g.labels_of(ring.forced_in)
+    fout = g.labels_of(ring.forced_out)
+    arcs = [(g.elements[u], g.elements[v]) for u, v in ring.implications]
+    return brute_constrained_min(
+        g.elements,
+        oracle.eval,
+        lambda s: naive_ring_member(s, fin, fout, arcs),
+    )
+
+
 def test_sfm_min_matches_brute_force_with_tie_break():
+    # The minimal minimizer is contained in every optimum, so it is also
+    # the first optimum in (cardinality, label order).
     for oracle, ring in _random_cases(60, 7, seed=20):
-        g = oracle.ground
-        fin = g.labels_of(ring.forced_in)
-        fout = g.labels_of(ring.forced_out)
-        arcs = [(g.elements[u], g.elements[v]) for u, v in ring.implications]
-        best, optima = brute_constrained_min(
-            g.elements,
-            oracle.eval,
-            lambda s: naive_ring_member(s, fin, fout, arcs),
-        )
-        res = sfm_min(oracle, ring)
-        assert res.value == best
-        want = min(optima, key=card_lex_key(list(g.elements)))
-        assert res.minimizer == want
+        best, optima = _brute(oracle, ring)
+        want = min(optima, key=card_lex_key(list(oracle.ground.elements)))
+        for res in _minimal_min(oracle, ring):
+            assert res == (want, best)
 
 
 def test_sfm_minimal_min_is_contained_in_every_minimizer():
     for oracle, ring in _random_cases(60, 7, seed=21):
-        g = oracle.ground
-        fin = g.labels_of(ring.forced_in)
-        fout = g.labels_of(ring.forced_out)
-        arcs = [(g.elements[u], g.elements[v]) for u, v in ring.implications]
-        best, optima = brute_constrained_min(
-            g.elements,
-            oracle.eval,
-            lambda s: naive_ring_member(s, fin, fout, arcs),
-        )
-        res = sfm_minimal_min(oracle, ring)
-        assert res.value == best
-        for opt in optima:
-            assert res.minimizer <= opt
-
-
-def test_penalized_oracle_frozen_example():
-    g = GroundSet(("x", "y"))
-    f = SubmodularOracle(g, Modular({"x": -1, "y": 5}))
-    ring = RingFamily.from_labels(g, forced_in=("x",), implications=[("x", "y")])
-    pen = penalized_oracle(f, ring)
-    assert pen.ground.elements == ("y",)
-    assert pen.spec.multiplier == 13
-    # Dropping y violates x -> y and costs the penalty; keeping it does not.
-    assert pen.eval(()) == -1 + 13
-    assert pen.eval(("y",)) == 4
-    res = sfm_minimal_min(pen, RingFamily.full(pen.ground))
-    assert res.value == 4
-    lifted = frozenset(g.labels_of(ring.closure_mask(ring.forced_in))) | res.minimizer
-    assert lifted == frozenset({"x", "y"})
-
-
-def test_penalized_oracle_solves_the_restricted_problem():
-    for oracle, ring in _random_cases(40, 6, seed=22):
-        direct = sfm_min(oracle, ring)
-        pen = penalized_oracle(oracle, ring)
-        relaxed = sfm_min(pen, RingFamily.full(pen.ground))
-        assert relaxed.value == direct.value
-        base = ring.closure_mask(ring.forced_in)
-        lifted = frozenset(ring.ground.labels_of(base)) | relaxed.minimizer
-        assert ring.member(lifted)
-        assert oracle.eval(lifted) == direct.value
-
-
-def test_penalized_oracle_stays_submodular():
-    for oracle, ring in _random_cases(20, 6, seed=23):
-        pen = penalized_oracle(oracle, ring)
-        assert check_submodular(pen).ok
+        best, optima = _brute(oracle, ring)
+        for minimizer, value in _minimal_min(oracle, ring):
+            assert value == best
+            for opt in optima:
+                assert minimizer <= opt
