@@ -24,7 +24,6 @@ from .cuts import CutMode, CutProblem, TSetEven, TSetOdd, load_graph, solve_cut
 from .enumeration import EnumSolution, candidate_pairs, enum_solve, pair_count
 from .errors import (
     CcsmError,
-    InfeasibleError,
     InputError,
     InternalInconsistencyError,
     UnsupportedSizeError,
@@ -102,7 +101,6 @@ __all__ = [
     "GeneralizedConstraint",
     "GeneralizedProduct",
     "GroundSet",
-    "InfeasibleError",
     "InputError",
     "Instance",
     "InternalInconsistencyError",

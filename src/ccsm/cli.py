@@ -17,12 +17,7 @@ import numpy as np
 from .constraints import CongruencyConstraint, is_prime_power
 from .cuts import CutProblem, TSetEven, TSetOdd, load_graph, solve_cut
 from .enumeration import EnumSolution, enum_solve, pair_count
-from .errors import (
-    InfeasibleError,
-    InputError,
-    InternalInconsistencyError,
-    UnsupportedSizeError,
-)
+from .errors import InputError, InternalInconsistencyError, UnsupportedSizeError
 from .families import random_closed_covering_system, random_instance, tight_depth_instance
 from .ground import GroundSet
 from .instances import Instance, load_instance
@@ -389,9 +384,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, UnsupportedSizeError) as exc:
         _note(f"error: {exc}")
         return EXIT_INPUT
-    except InfeasibleError as exc:
-        _note(f"infeasible: {exc}")
-        return EXIT_NONE
     except InternalInconsistencyError as exc:
         _note(f"internal inconsistency: {exc}")
         return EXIT_INCONSISTENT

@@ -6,32 +6,19 @@ which S are feasible: a congruence on |S|, or even/odd intersections with
 given terminal sets.  With ``proper`` set, the trivial cuts (empty set and
 all vertices) are excluded by taking the best over all pinned runs that
 force one vertex inside and another outside; each pinned run is an
-ordinary lattice restriction, so exactness guarantees carry over.
+ordinary lattice restriction, so exactness guarantees carry over.  The
+runs are not solved one by one: together they read the pairs of one
+depth + 1 table whose sides are both non-empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .constraints import (
-    CongruencyConstraint,
-    GeneralizedConstraint,
-    default_depth,
-    guarantees_exactness,
-)
-from .enumeration import (
-    ROUTE_PER_PAIR,
-    EnumSolution,
-    _compile_member,
-    _node_table,
-    _ordered_candidates,
-    enum_solve,
-    pair_count,
-)
+from .constraints import CongruencyConstraint, GeneralizedConstraint, default_depth
+from .enumeration import EnumSolution, _node_table, _select, enum_solve, pair_count
 from .errors import InputError
-from .ground import GroundSet, popcount_array, reversed_bits_array
+from .ground import GroundSet, popcount_array
 from .lattice import RingFamily
 from .oracles import CutDirected, CutUndirected, SubmodularOracle
 
@@ -94,12 +81,17 @@ def _mode_constraint(mode: CutMode):
 def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
     """Solve the constrained cut problem exactly for prime-power moduli.
 
-    The proper variant shares one pair table across all pinned runs: the
-    pinned pair (A, B) of a run equals the unpinned pair (A + u, B + v),
-    so one table at depth + 1 answers every run.  Aggregated counters sum
-    over runs, hence ``sfm_calls + skipped_empty`` equals
-    ``n * (n - 1) * pair_count(n, depth)`` there, and plain
-    ``pair_count(n, depth)`` otherwise.
+    The proper variant answers all n(n - 1) pinned runs (u inside, v
+    outside) from one pair table at depth + 1: the pinned pair (A, B) of
+    run (u, v) is the unpinned pair (A + u, B + v), so the runs together
+    cover exactly the table pairs whose sides are both non-empty, and
+    their best answer is the best feasible set collected there.  The
+    counters add up the runs: a non-empty table pair (A, B) is used by
+    |A| * |B| runs, so ``sfm_calls`` is the sum of |A| * |B| over the
+    non-empty pairs and ``skipped_empty`` is
+    ``n * (n - 1) * pair_count(n, depth) - sfm_calls``.  Otherwise the
+    counters are those of one ``enum_solve`` run, which sum to
+    ``pair_count(n, depth)``.
     """
     ground = GroundSet(problem.vertices)
     spec = CutDirected(problem.edges) if problem.directed else CutUndirected(problem.edges)
@@ -114,72 +106,9 @@ def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
         return enum_solve(oracle, ring, constraint, depth)
 
     n = ground.n
-    guaranteed = guarantees_exactness(constraint, depth)
-    if n < 2:
-        # No proper cut exists; a table this small would take the per-pair route.
-        return EnumSolution(
-            best=None,
-            value=None,
-            depth=depth,
-            candidates=0,
-            sfm_calls=0,
-            skipped_empty=0,
-            guaranteed=guaranteed,
-            route=ROUTE_PER_PAIR,
-        )
     table = _node_table(oracle, ring, depth + 1)
-    feasible = _compile_member(constraint, ground)
-    # Order nodes by their collected set's (value, cardinality, lex) key so
-    # every run's winner is its first acceptable node in this order.
-    sets = table.setmask
-    key = np.lexsort(
-        (
-            -reversed_bits_array(sets, n),
-            popcount_array(sets),
-            table.values[sets],
-        )
-    )
-    amask = table.amask[key]
-    bmask = table.bmask[key]
-    sets = sets[key]
-    nonempty = table.nonempty[key]
-    feas_set = np.array([feasible(int(m)) for m in sets], dtype=bool)
-    acceptable = nonempty & feas_set
-    pinned = (amask != 0) & (bmask != 0) & nonempty
-    cand_masks = np.unique(sets[pinned])
-    per_run_pairs = pair_count(n, depth)
-    total_calls = 0
-    total_skipped = 0
-    best_pos = len(sets)
-    for u in range(n):
-        ua = ((amask >> u) & 1) == 1
-        for v in range(n):
-            if u == v:
-                continue
-            run = ua & (((bmask >> v) & 1) == 1)
-            run_calls = int((run & nonempty).sum())
-            total_calls += run_calls
-            total_skipped += per_run_pairs - run_calls
-            hit = run & acceptable
-            pos = int(np.argmax(hit))
-            if hit[pos] and pos < best_pos:
-                best_pos = pos
-    if best_pos == len(sets):
-        best_mask = None
-        value = None
-    else:
-        best_mask = int(sets[best_pos])
-        value = int(table.values[best_mask])
-    ordered_cands = _ordered_candidates(cand_masks, table.values, n)
-    return EnumSolution(
-        best=None if best_mask is None else ground.set_of(best_mask),
-        value=value,
-        depth=depth,
-        candidates=len(cand_masks),
-        sfm_calls=total_calls,
-        skipped_empty=total_skipped,
-        guaranteed=guaranteed,
-        candidate_sets=tuple(ground.set_of(int(m)) for m in ordered_cands),
-        route=table.route,
-    )
-
+    runs = popcount_array(table.amask) * popcount_array(table.bmask)
+    sfm_calls = int(runs[table.nonempty].sum())
+    keep = table.nonempty & (runs != 0)
+    pairs = n * (n - 1) * pair_count(n, depth)
+    return _select(ground, table, keep, constraint, depth, sfm_calls, pairs)

@@ -43,6 +43,7 @@ from .constraints import (
 )
 from .errors import InputError
 from .ground import (
+    GroundSet,
     interval_masks,
     iter_bits,
     popcount_array,
@@ -176,8 +177,8 @@ class EnumSolution:
     ``best is None`` means no collected candidate was feasible (a value,
     not an error).  ``candidates`` counts distinct minimal minimizers;
     ``sfm_calls`` counts pairs whose sublattice was non-empty and
-    ``skipped_empty`` the rest, so the two always sum to
-    ``pair_count(n, depth)``.
+    ``skipped_empty`` the rest, so the two sum to ``pair_count(n, depth)``;
+    a proper ``solve_cut`` sums them over its pinned runs instead.
     """
 
     best: frozenset[str] | None
@@ -223,33 +224,46 @@ def enum_solve(
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
     table = _node_table(oracle, ring, depth)
+    pairs = len(table.nonempty)
+    assert pairs == pair_count(n, depth)
     sfm_calls = int(table.nonempty.sum())
-    skipped = int(len(table.nonempty) - sfm_calls)
-    assert sfm_calls + skipped == pair_count(n, depth)
-    ordered = _ordered_candidates(np.unique(table.setmask[table.nonempty]), table.values, n)
+    return _select(ground, table, table.nonempty, constraint, depth, sfm_calls, pairs)
+
+
+def _select(
+    ground: GroundSet,
+    table: _NodeTable,
+    keep: np.ndarray,
+    constraint: Constraint | None,
+    depth: int,
+    sfm_calls: int,
+    pairs: int,
+) -> EnumSolution:
+    """Answer a run from the node-table entries selected by ``keep``.
+
+    The candidates are the distinct sets collected at the kept pairs; the
+    answer is the first constraint-feasible one in (value, cardinality,
+    lex) order.  ``keep`` must select only non-empty pairs.  The counters
+    are the caller's: ``skipped_empty`` is ``pairs - sfm_calls``.
+    """
+    ordered = _ordered_candidates(np.unique(table.setmask[keep]), table.values, ground.n).tolist()
     if constraint is None:
         feasible = lambda mask: True  # noqa: E731
-    else:
-        feasible = _compile_member(constraint, ground)
-    best_mask: int | None = None
-    for m in ordered:
-        if feasible(int(m)):
-            best_mask = int(m)
-            break
-    if constraint is None:
         # Unconstrained runs return the lattice minimum itself.
         guaranteed = True
     else:
+        feasible = _compile_member(constraint, ground)
         guaranteed = guarantees_exactness(constraint, depth)
+    best_mask = next((m for m in ordered if feasible(m)), None)
     return EnumSolution(
         best=None if best_mask is None else ground.set_of(best_mask),
         value=None if best_mask is None else int(table.values[best_mask]),
         depth=depth,
         candidates=len(ordered),
         sfm_calls=sfm_calls,
-        skipped_empty=skipped,
+        skipped_empty=pairs - sfm_calls,
         guaranteed=guaranteed,
-        candidate_sets=tuple(ground.set_of(int(m)) for m in ordered),
+        candidate_sets=tuple(ground.set_of(m) for m in ordered),
         route=table.route,
     )
 

@@ -11,10 +11,6 @@ class InputError(CcsmError):
     """Malformed input: unknown labels, bad parameters, invalid files."""
 
 
-class InfeasibleError(CcsmError):
-    """An operation required a non-empty lattice and got an empty one."""
-
-
 class UnsupportedSizeError(CcsmError):
     """The instance exceeds the exhaustive-computation size caps."""
 

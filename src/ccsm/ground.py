@@ -47,14 +47,6 @@ def reversed_bits_array(masks: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def first_by_card_lex(masks: np.ndarray, n: int) -> int:
-    """Pick the (cardinality, lexicographic) first mask from a nonempty array."""
-    pc = popcount_array(masks)
-    rev = reversed_bits_array(masks, n)
-    order = np.lexsort((-rev, pc))
-    return int(masks[order[0]])
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """An ordered set of distinct element labels.

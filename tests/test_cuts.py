@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from ccsm.constraints import CongruencyConstraint
-from ccsm.cuts import CutProblem, TSetEven, TSetOdd, load_graph, solve_cut
-from ccsm.enumeration import pair_count
+from ccsm.cuts import CutProblem, TSetEven, TSetOdd, _mode_constraint, load_graph, solve_cut
+from ccsm.enumeration import enum_solve, pair_count
 from ccsm.errors import InputError
 from ccsm.ground import GroundSet
-from ccsm.oracles import CutUndirected, SubmodularOracle
+from ccsm.lattice import RingFamily
+from ccsm.oracles import CutDirected, CutUndirected, SubmodularOracle
 from helpers import (
     brute_constrained_min,
     card_lex_key,
@@ -72,12 +73,15 @@ def test_empty_tset_list_is_rejected():
 
 
 def test_proper_on_one_vertex_has_no_candidates():
-    problem = CutProblem(("a",), (), False, CongruencyConstraint(2, 1), proper=True)
-    solution = solve_cut(problem)
-    assert solution.best is None
-    assert solution.value is None
-    assert solution.candidates == 0
-    assert solution.sfm_calls == 0
+    for vertices in (("a",), ()):
+        problem = CutProblem(vertices, (), False, CongruencyConstraint(2, 1), proper=True)
+        solution = solve_cut(problem)
+        assert solution.best is None
+        assert solution.value is None
+        assert solution.candidates == 0
+        assert solution.candidate_sets == ()
+        assert solution.sfm_calls == 0
+        assert solution.skipped_empty == 0
 
 
 def test_undirected_cut_is_symmetric():
@@ -178,6 +182,47 @@ def test_proper_counters_aggregate_over_runs():
         assert solution.sfm_calls + solution.skipped_empty == runs * pair_count(
             n, solution.depth
         )
+        # On the full ring no pinned pair is empty, and run (u, v) uses one
+        # shared-table pair for each of its pairs that avoids u and v.
+        assert solution.sfm_calls == runs * pair_count(n - 2, solution.depth)
+
+
+def test_proper_cut_equals_its_explicitly_pinned_runs():
+    # Run (u, v) forces u inside and v outside; together the n(n - 1) runs
+    # must collect the proper solve's candidates and answer with its best.
+    rng = np.random.default_rng(25)
+    for trial in range(40):
+        n = int(rng.integers(2, 7))
+        directed = bool(rng.integers(0, 2))
+        labels, edges = _random_graph(rng, n, directed)
+        mode = _random_mode(rng, labels)
+        solution = solve_cut(CutProblem(labels, edges, directed, mode, proper=True))
+
+        ground = GroundSet(labels)
+        spec = CutDirected(edges) if directed else CutUndirected(edges)
+        oracle = SubmodularOracle(ground, spec)
+        runs = [
+            enum_solve(
+                oracle,
+                RingFamily(ground, 1 << u, 1 << v),
+                _mode_constraint(mode),
+                solution.depth,
+            )
+            for u in range(n)
+            for v in range(n)
+            if u != v
+        ]
+        pooled = set().union(*(run.candidate_sets for run in runs))
+        assert set(solution.candidate_sets) == pooled, (trial, mode)
+        card_lex = card_lex_key(labels)
+        answers = [
+            (run.value, card_lex(run.best), run.best) for run in runs if run.best is not None
+        ]
+        if not answers:
+            assert solution.best is None and solution.value is None
+        else:
+            value, _, best = min(answers, key=lambda a: a[:2])
+            assert (solution.value, solution.best) == (value, best), (trial, mode)
 
 
 def test_single_odd_terminal_matches_minimum_odd_cut():

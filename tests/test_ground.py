@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ccsm.enumeration import _ordered_candidates
 from ccsm.errors import InputError
 from ccsm.ground import (
     GroundSet,
-    first_by_card_lex,
     interval_masks,
     iter_bits,
     popcount,
@@ -87,24 +87,23 @@ def test_interval_masks_are_exactly_the_supersets(n, data):
     assert got == want
 
 
-def test_first_by_card_lex_prefers_small_then_early_bits():
-    # {a} beats {b} beats {a, b} under (cardinality, label order).
-    masks = np.array([0b11, 0b10, 0b01], dtype=np.int64)
-    assert first_by_card_lex(masks, 2) == 0b01
-    masks = np.array([0b110, 0b011], dtype=np.int64)
-    assert first_by_card_lex(masks, 3) == 0b011
+def test_card_lex_order_prefers_small_then_early_bits():
+    # {a} before {b} before {a, b} under (cardinality, label order).
+    order = _ordered_candidates(np.array([0b11, 0b10, 0b01]), np.zeros(4, dtype=np.int64), 2)
+    assert order.tolist() == [0b01, 0b10, 0b11]
+    order = _ordered_candidates(np.array([0b110, 0b011]), np.zeros(8, dtype=np.int64), 3)
+    assert order.tolist() == [0b011, 0b110]
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
-def test_first_by_card_lex_matches_sorted_label_sets(n, data):
-    ground = GroundSet(tuple(chr(ord("a") + i) for i in range(n)))
+def test_card_lex_order_matches_sorted_label_sets(n, data):
     masks = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=20
         )
     )
-    arr = np.array(sorted(set(masks)), dtype=np.int64)
-    pick = first_by_card_lex(arr, n)
-    subsets = [tuple(sorted(iter_bits(int(m)))) for m in arr]
-    want = min(subsets, key=lambda idx: (len(idx), idx))
-    assert tuple(sorted(iter_bits(pick))) == want
+    arr = np.array(data.draw(st.permutations(sorted(set(masks)))), dtype=np.int64)
+    order = _ordered_candidates(arr, np.zeros(1 << n, dtype=np.int64), n)
+    got = [tuple(iter_bits(int(m))) for m in order]
+    want = sorted((tuple(iter_bits(int(m))) for m in arr), key=lambda idx: (len(idx), idx))
+    assert got == want
