@@ -109,7 +109,10 @@ def _load_label_lists(path: str) -> list[list[str]]:
         payload = payload["sets"]
     if not isinstance(payload, list):
         raise InputError(f"{path} must hold a JSON list of label lists")
-    return [[str(x) for x in entry] for entry in payload]
+    try:
+        return [[str(x) for x in entry] for entry in payload]
+    except TypeError as exc:
+        raise InputError(f"{path} must hold a JSON list of label lists: {exc}") from None
 
 
 def _cmd_solve_cut(args) -> int:

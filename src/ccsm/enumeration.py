@@ -10,17 +10,22 @@ Every pinned minimizer minimizes the scaled objective
 g(S) = (n + 1) f(S) + |S| over the dense 2**n table: minimizers of f on a
 lattice are closed under union and intersection, so g has a unique
 minimizer on every non-empty sublattice and it is the inclusion-minimal
-minimizer of f.  ``_node_table`` is the one place that computes them, for
-one shared pair list, by one of two routes chosen from the input size:
+minimizer of f.  ``_node_table`` is the one place that computes them,
+for one shared pair list, in ``_pinned_minimizers``:
 
-- the ternary route fills a ``(3,)*n`` array whose axis digit is 0 (free),
-  1 (in A) or 2 (in B).  A pair with a free element is the union of the
-  two pairs that pin it, so one min-reduction per axis answers all 3**n
-  pairs at once, and each pair reads its own cell;
-- the per-pair route scans each pair's interval of the table directly.
+- slice: for a fixed B, the sets that avoid B form a 2**(n - |B|)
+  sub-cube of the table, copied out with B's axes at 0;
+- sweep: one in-place superset-min pass per remaining axis leaves in each
+  cell the minimum of g over its supersets, so the cell of A holds the
+  minimum over the interval [A, N - B];
+- walk: starting at A, add each free element whose cell still holds that
+  minimum; the walk ends on the minimizer, then B's bits go back in.
 
-The ternary route runs when n is within ``ternary_cap()`` and there are
-more than ``_PAIR_SWITCH`` pairs; both return identical arrays.
+The sweeps cost sum over j <= d of C(n, j) (n - j) 2**(n - j) cell
+updates, and the walks n - |B| steps per pair.  Slices with the same
+|B| = j are stacked 2**j to a chunk, so apart from arrays with one
+entry per pair, the working memory beyond the table is one chunk of
+2**n cells.  The README gives measured timings.
 """
 
 from __future__ import annotations
@@ -42,19 +47,12 @@ from .constraints import (
     guarantees_exactness,
 )
 from .errors import InputError
-from .ground import (
-    GroundSet,
-    interval_masks,
-    iter_bits,
-    popcount_array,
-    reversed_bits_array,
-)
+from .ground import GroundSet, iter_bits, popcount_array, reversed_bits_array
 from .lattice import RingFamily
-from .limits import _PAIR_SWITCH, _SENTINEL, require_exhaustible, ternary_cap
+from .limits import _SENTINEL, require_exhaustible
 from .oracles import SubmodularOracle
 
-ROUTE_TERNARY = "ternary"
-ROUTE_PER_PAIR = "per_pair"
+ROUTE_TABLE = "table"
 
 
 def pair_count(n: int, d: int) -> int:
@@ -100,13 +98,11 @@ class _NodeTable:
     ``setmask`` is 0 wherever ``nonempty`` is false.
     """
 
-    n: int
     amask: np.ndarray
     bmask: np.ndarray
     setmask: np.ndarray
     nonempty: np.ndarray
     values: np.ndarray
-    route: str
 
 
 def _scaled_table(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -118,41 +114,72 @@ def _scaled_table(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarra
     return values, np.where(feasible, scaled, _SENTINEL)
 
 
-def _node_table_ternary(
-    g: np.ndarray, n: int, amask: np.ndarray, bmask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # Axis k of the (3,)*n arrays, like axis k of g.reshape((2,)*n), is
-    # element n - 1 - k, so the flat index of a pair is the sum of
-    # 3**i * digit_i.  Digit 1 (in A) holds bit 1 and digit 2 (in B) bit 0.
-    gval = np.full((3,) * n, _SENTINEL, dtype=np.int64)
-    sets = np.zeros((3,) * n, dtype=np.int64)
-    pinned = (slice(2, 0, -1),) * n
-    gval[pinned] = g.reshape((2,) * n)
-    sets[pinned] = np.arange(1 << n, dtype=np.int64).reshape((2,) * n)
-    for axis in range(n):
-        free, left, right = ((slice(None),) * axis + (digit,) for digit in range(3))
-        take_left = gval[left] <= gval[right]
-        gval[free] = np.where(take_left, gval[left], gval[right])
-        sets[free] = np.where(take_left, sets[left], sets[right])
-    index = np.zeros_like(amask)
-    for i in range(n):
-        index += 3**i * (((amask >> i) & 1) + 2 * ((bmask >> i) & 1))
-    nonempty = gval.ravel()[index] != _SENTINEL
-    return np.where(nonempty, sets.ravel()[index], 0), nonempty
+def _drop_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """Delete the bit positions set in ``drop`` from each mask, closing the gaps."""
+    while drop.any():
+        low = drop & -drop
+        masks = (masks & (low - 1)) | ((masks >> 1) & -low)
+        drop = (drop ^ low) >> 1
+    return masks
 
 
-def _node_table_per_pair(
+def _restore_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """Inverse of ``_drop_bits``: put zero bits back at the positions of ``drop``."""
+    while drop.any():
+        low = drop & -drop
+        masks = (masks & (low - 1)) | ((masks & -low) << 1)
+        drop = drop ^ low
+    return masks
+
+
+def _pinned_minimizers(
     g: np.ndarray, n: int, amask: np.ndarray, bmask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    setmask = np.zeros(len(amask), dtype=np.int64)
+    """Per pair, an argmin of ``g`` over the interval [A, N - B] and
+    whether the interval holds a member (a cell below ``_SENTINEL``); the
+    argmin is 0 where it does not.  Found by the slice, sweep and walk of
+    the module docstring.
+
+    The walk ends on a cell x that holds the interval minimum, while each
+    ``x | t`` is a superset of the cell where t was rejected and so holds
+    more.  Every proper superset of x lies under some ``x | t``, so g[x]
+    itself is the minimum: the walk finds an argmin on any table, and on
+    submodular input the unique one, the inclusion-minimal minimizer.
+    """
+    cube = g.reshape((2,) * n)
+    buf = np.empty(1 << n, dtype=np.int64)
+    setmask = np.zeros_like(amask)
     nonempty = np.zeros(len(amask), dtype=bool)
-    for k, (a, b) in enumerate(zip(amask.tolist(), bmask.tolist())):
-        idx = interval_masks(a, [i for i in range(n) if not ((a | b) >> i) & 1])
-        local = g[idx]
-        j = int(np.argmin(local))
-        if local[j] != _SENTINEL:
-            setmask[k] = idx[j]
-            nonempty[k] = True
+    # Pairs in (|B|, B) order: each chunk's pairs are one run of ``order``.
+    key = (popcount_array(bmask) << n) | bmask
+    order = np.argsort(key)
+    bkeys, first = np.unique(key[order], return_index=True)
+    first = np.append(first, len(order))
+    for j in range(n + 1):
+        free = n - j
+        lo, hi = np.searchsorted(bkeys >> n, [j, j + 1]).tolist()
+        for start in range(lo, hi, 1 << j):
+            chunk = bkeys[start : min(start + (1 << j), hi)]
+            slices = buf[: len(chunk) << free].reshape((len(chunk),) + (2,) * free)
+            for row, b in enumerate((chunk & ((1 << n) - 1)).tolist()):
+                avoid_b = [slice(None)] * n
+                for i in iter_bits(b):
+                    avoid_b[n - 1 - i] = 0  # axis k of the cube is element n - 1 - k
+                slices[row] = cube[tuple(avoid_b)]
+            sub = slices.reshape(len(chunk), -1)
+            for t in range(free):
+                v = sub.reshape(len(chunk), -1, 2, 1 << t)
+                np.minimum(v[:, :, 0], v[:, :, 1], out=v[:, :, 0])
+            # The walk runs on flat cell indices: the row number above A'.
+            run = order[first[start] : first[start + len(chunk)]]
+            cells = sub.reshape(-1)
+            x = (np.searchsorted(chunk, key[run]) << free) | _drop_bits(amask[run], bmask[run])
+            target = cells[x]
+            for t in range(free):
+                step = x | (1 << t)
+                x = np.where(cells[step] == target, step, x)
+            nonempty[run] = hit = target != _SENTINEL
+            setmask[run] = np.where(hit, _restore_bits(x & ((1 << free) - 1), bmask[run]), 0)
     return setmask, nonempty
 
 
@@ -162,12 +189,8 @@ def _node_table(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeT
     require_exhaustible(n, "pair-enumeration solving")
     values, g = _scaled_table(oracle, ring)
     amask, bmask = _pair_masks(n, dmax)
-    if n <= ternary_cap() and len(amask) > _PAIR_SWITCH:
-        route, nodes = ROUTE_TERNARY, _node_table_ternary
-    else:
-        route, nodes = ROUTE_PER_PAIR, _node_table_per_pair
-    setmask, nonempty = nodes(g, n, amask, bmask)
-    return _NodeTable(n, amask, bmask, setmask, nonempty, values, route)
+    setmask, nonempty = _pinned_minimizers(g, n, amask, bmask)
+    return _NodeTable(amask, bmask, setmask, nonempty, values)
 
 
 @dataclass(frozen=True)
@@ -179,6 +202,8 @@ class EnumSolution:
     ``sfm_calls`` counts pairs whose sublattice was non-empty and
     ``skipped_empty`` the rest, so the two sum to ``pair_count(n, depth)``;
     a proper ``solve_cut`` sums them over its pinned runs instead.
+    ``route`` names how the pinned minimizers were computed; the only
+    route is ``"table"``, the sweeps over the dense value table.
     """
 
     best: frozenset[str] | None
@@ -189,7 +214,7 @@ class EnumSolution:
     skipped_empty: int
     guaranteed: bool
     candidate_sets: tuple[frozenset[str], ...] = field(default=(), repr=False)
-    route: str = ROUTE_TERNARY
+    route: str = ROUTE_TABLE
 
 
 def _ordered_candidates(cands: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -264,7 +289,6 @@ def _select(
         skipped_empty=pairs - sfm_calls,
         guaranteed=guaranteed,
         candidate_sets=tuple(ground.set_of(m) for m in ordered),
-        route=table.route,
     )
 
 

@@ -9,7 +9,7 @@ bit operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -101,14 +101,3 @@ class GroundSet:
     def __iter__(self) -> Iterator[str]:
         return iter(self.elements)
 
-
-def interval_masks(base: int, free_bits: Sequence[int]) -> np.ndarray:
-    """All masks of the interval ``[base, base | free]`` as an int64 array.
-
-    ``free_bits`` are bit positions not present in ``base``; the result has
-    ``2**len(free_bits)`` entries and starts at ``base``.
-    """
-    arr = np.array([base], dtype=np.int64)
-    for b in free_bits:
-        arr = np.concatenate([arr, arr | (1 << b)])
-    return arr

@@ -156,10 +156,13 @@ def parse_constraint(payload: dict | None) -> Constraint | None:
 
 def instance_from_dict(payload: dict) -> Instance:
     _require_keys(payload, {"ground_set", "function"}, {"lattice", "constraint"}, "instance")
-    ground = GroundSet(tuple(str(x) for x in payload["ground_set"]))
-    oracle = _parse_function(payload["function"], ground)
-    ring = _parse_lattice(payload.get("lattice"), ground)
-    constraint = parse_constraint(payload.get("constraint"))
+    try:
+        ground = GroundSet(tuple(str(x) for x in payload["ground_set"]))
+        oracle = _parse_function(payload["function"], ground)
+        ring = _parse_lattice(payload.get("lattice"), ground)
+        constraint = parse_constraint(payload.get("constraint"))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed instance: {exc}") from None
     if isinstance(constraint, (GeneralizedConstraint, TCutConstraint)):
         # Fail fast on labels outside the ground set.
         constraint.mask_member(0, ground)

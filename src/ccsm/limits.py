@@ -15,13 +15,6 @@ from .errors import UnsupportedSizeError
 # Hard ceiling for any 2**n table.  16M int64 entries = 128 MiB.
 _EXHAUSTIVE_CAP = 24
 
-# The pair-enumeration solver can switch to a dense scan over all 3**n
-# (inside, outside, free) assignments; this caps that table.
-_TERNARY_CAP = 14
-
-# Below this many pairs the per-pair route beats building the ternary table.
-_PAIR_SWITCH = 2000
-
 # Marks non-members in the solver's scaled int64 tables (int64 max // 4).
 # Oracles refuse inputs whose scaled values (n + 2) * range_bound could
 # reach it, so every int64 sum the package forms stays exact.
@@ -39,11 +32,6 @@ def exhaustive_cap() -> int:
             raise UnsupportedSizeError(f"CCSM_MAX_N must be an integer, got {env!r}")
         cap = min(cap, requested)
     return cap
-
-
-def ternary_cap() -> int:
-    """Cap on ground-set size for the dense 3**n assignment table."""
-    return min(_TERNARY_CAP, exhaustive_cap())
 
 
 def require_exhaustible(n: int, what: str) -> None:

@@ -48,11 +48,13 @@ class SetSystem:
     def from_dict(cls, payload: dict) -> "SetSystem":
         if not isinstance(payload, dict) or set(payload) != {"ground", "sets"}:
             raise InputError('a set system needs exactly the keys "ground" and "sets"')
-        ground = GroundSet(payload["ground"])
         sets = payload["sets"]
         if not isinstance(sets, list):
             raise InputError('"sets" must be a list of label lists')
-        return cls.from_labels(ground, sets)
+        try:
+            return cls.from_labels(GroundSet(payload["ground"]), sets)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed set system: {exc}") from None
 
     def to_dict(self) -> dict:
         ordered = sorted(self.sets, key=lambda m: (popcount(m), self.labels(m)))

@@ -114,6 +114,56 @@ def test_solve_input_errors_exit_two(capsys, tmp_path):
     assert "not submodular" in err
 
 
+_AB = ["a", "b"]
+_MODULAR_AB = {"type": "modular", "weights": {"a": 1}}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        pytest.param(
+            "solve",
+            {"ground_set": _AB, "function": {"type": "modular", "weights": {"a": "x"}}},
+            id="weight-not-int",
+        ),
+        pytest.param(
+            "solve",
+            {"ground_set": _AB, "function": {"type": "cut_undirected", "edges": [_AB]}},
+            id="edge-without-weight",
+        ),
+        pytest.param(
+            "solve",
+            {
+                "ground_set": _AB,
+                "function": _MODULAR_AB,
+                "constraint": {"type": "congruency", "modulus": "x", "residue": 0},
+            },
+            id="modulus-not-int",
+        ),
+        pytest.param(
+            "solve",
+            {"ground_set": _AB, "function": _MODULAR_AB, "lattice": {"forced_in": 5}},
+            id="forced-in-not-a-list",
+        ),
+        pytest.param("solve-cut", [5], id="tset-not-a-list"),
+        pytest.param("verify-system", {"ground": _AB, "sets": [5]}, id="system-set-not-a-list"),
+    ],
+)
+def test_malformed_values_exit_two(capsys, tmp_path, triangle_file, command, payload):
+    """A value of the wrong type inside valid JSON is an input error."""
+    path = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text(json.dumps(payload))
+    argv = {
+        "solve": ["solve", "--instance", path],
+        "solve-cut": ["solve-cut", "--graph", triangle_file, "--mode", "tset_odd", "--tsets", path],
+        "verify-system": ["verify-system", "--system", path, "--m", "2", "--d", "1"],
+    }[command]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out is None
+    assert "error" in err and "Traceback" not in err
+
+
 def test_oracle_command(capsys, tight_instance_file):
     rc, payload, _ = run(capsys, "oracle", "--instance", tight_instance_file)
     assert rc == 0

@@ -11,9 +11,8 @@ from ccsm.constraints import (
     MembershipOracle,
 )
 from ccsm.enumeration import (
-    _node_table_per_pair,
-    _node_table_ternary,
     _pair_masks,
+    _pinned_minimizers,
     _scaled_table,
     candidate_pairs,
     enum_solve,
@@ -29,19 +28,18 @@ from ccsm.families import (
 )
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
+from ccsm.limits import _SENTINEL
 from ccsm.oracles import CutUndirected, Modular, SubmodularOracle
 from ccsm.reference import exhaustive_solve
 from helpers import brute_constrained_min, naive_pairs, naive_ring_member, powerset
 
-ROUTES = {"ternary": _node_table_ternary, "per_pair": _node_table_per_pair}
 
-
-def _route_tables(oracle, ring, d):
-    """The shared pair masks and each route's (setmask, nonempty) arrays."""
+def _pinned_table(oracle, ring, d):
+    """The shared pair masks and the (setmask, nonempty) arrays."""
     n = oracle.ground.n
     _, g = _scaled_table(oracle, ring)
     amask, bmask = _pair_masks(n, d)
-    return amask, bmask, {name: route(g, n, amask, bmask) for name, route in ROUTES.items()}
+    return amask, bmask, _pinned_minimizers(g, n, amask, bmask)
 
 
 def test_pair_count_frozen_values():
@@ -90,22 +88,8 @@ def test_candidate_pairs_are_disjoint_and_complete():
             assert len(seen) == len(pairs)
 
 
-def test_both_node_table_routes_agree():
-    rng = np.random.default_rng(33)
-    for _ in range(25):
-        n = int(rng.integers(2, 8))
-        family = ("modular", "cut", "coverage", "table")[int(rng.integers(0, 4))]
-        oracle = random_oracle(rng, family, n)
-        ring = random_ring(rng, oracle.ground, lattice_prob=0.5)
-        d = int(rng.integers(0, 4))
-        amask, _, tables = _route_tables(oracle, ring, d)
-        assert len(amask) == pair_count(n, d)
-        (tern_set, tern_ne), (pp_set, pp_ne) = tables["ternary"], tables["per_pair"]
-        assert np.array_equal(tern_ne, pp_ne)
-        assert np.array_equal(tern_set, pp_set)
-
-
-def _node_table_cases():
+def _bounded_depth_cases():
+    """Hand-made and random cases pinned per pair at depths 1-3."""
     abc = GroundSet(("a", "b", "c"))
     square = GroundSet(("a", "b", "c", "d"))
     cycle = tuple((u, v, 1) for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")))
@@ -126,19 +110,34 @@ def _node_table_cases():
         yield oracle, random_ring(rng, oracle.ground, lattice_prob=0.7), int(rng.integers(1, 4))
 
 
-@pytest.mark.parametrize("route", sorted(ROUTES))
-def test_node_table_matches_brute_force(route):
+def _full_depth_cases():
+    """The two ends of the depth range: depth 0 (the one unpinned pair)
+    and depth n (the whole ternary set of 3**n pairs)."""
+    rng = np.random.default_rng(33)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        family = ("modular", "cut", "coverage", "table")[int(rng.integers(0, 4))]
+        oracle = random_oracle(rng, family, n)
+        ring = random_ring(rng, oracle.ground, lattice_prob=0.5)
+        yield oracle, ring, 0
+        yield oracle, ring, n
+
+
+NODE_TABLE_CASES = {"per_pair": _bounded_depth_cases, "ternary": _full_depth_cases}
+
+
+@pytest.mark.parametrize("cases", sorted(NODE_TABLE_CASES))
+def test_node_table_matches_brute_force(cases):
     """Every pair's entry is the inclusion-minimal minimizer of f over the
     members that contain A and avoid B, found by a literal scan."""
-    for oracle, ring, d in _node_table_cases():
+    for oracle, ring, d in NODE_TABLE_CASES[cases]():
         g = oracle.ground
         labels = g.elements
         fin = g.labels_of(ring.forced_in)
         fout = g.labels_of(ring.forced_out)
         arcs = [(labels[u], labels[v]) for u, v in ring.implications]
         value = {s: oracle.eval(s) for s in powerset(labels)}
-        amask, bmask, tables = _route_tables(oracle, ring, d)
-        setmask, nonempty = tables[route]
+        amask, bmask, (setmask, nonempty) = _pinned_table(oracle, ring, d)
         pairs = list(candidate_pairs(g.n, d))
         assert len(pairs) == len(amask)
         for k, (a, b) in enumerate(pairs):
@@ -158,6 +157,30 @@ def test_node_table_matches_brute_force(route):
             got = g.set_of(int(setmask[k]))
             assert got in optima
             assert all(got <= opt for opt in optima)
+
+
+def test_pinned_entries_attain_the_interval_minimum_on_any_table():
+    """On tables with ties and holes, where the minimizer need not be
+    unique, every non-empty entry still lies in [A, N - B] and attains the
+    minimum of g there; a pair is empty exactly when its interval is all
+    holes."""
+    rng = np.random.default_rng(35)
+    for _ in range(40):
+        n = int(rng.integers(0, 9))
+        d = int(rng.integers(0, 4))
+        g = rng.integers(0, 4, size=1 << n).astype(np.int64)
+        g[rng.random(1 << n) < 0.3] = _SENTINEL
+        masks = np.arange(1 << n)
+        amask, bmask = _pair_masks(n, d)
+        setmask, nonempty = _pinned_minimizers(g, n, amask, bmask)
+        for a, b, s, ne in zip(amask.tolist(), bmask.tolist(), setmask.tolist(), nonempty):
+            low = g[((masks & a) == a) & ((masks & b) == 0)].min()
+            assert ne == (low != _SENTINEL)
+            if not ne:
+                assert s == 0
+                continue
+            assert s & a == a and s & b == 0
+            assert g[s] == low
 
 
 def test_depth_family_m3_frozen_solution():

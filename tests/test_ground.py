@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +10,6 @@ from ccsm.enumeration import _ordered_candidates
 from ccsm.errors import InputError
 from ccsm.ground import (
     GroundSet,
-    interval_masks,
     iter_bits,
     popcount,
     popcount_array,
@@ -71,20 +68,6 @@ def test_ground_set_rejects_duplicates_and_unknown_labels():
         g.mask_of(("z",))
     with pytest.raises(InputError):
         g.index("z")
-
-
-@given(st.integers(min_value=0, max_value=10), st.data())
-def test_interval_masks_are_exactly_the_supersets(n, data):
-    base = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1 if n else 0))
-    free_pool = [i for i in range(n) if not (base >> i) & 1]
-    free = data.draw(st.permutations(free_pool))
-    got = sorted(int(m) for m in interval_masks(base, list(free)))
-    want = sorted(
-        base | sum(1 << i for i in sub)
-        for k in range(len(free) + 1)
-        for sub in combinations(free, k)
-    )
-    assert got == want
 
 
 def test_card_lex_order_prefers_small_then_early_bits():

@@ -1,20 +1,14 @@
 """Submodular minimization over ring families, as the solver does it.
 
 Every test reads the (empty, empty) pair of the node table, which is the
-inclusion-minimal minimizer of f over the whole ring family, from both
-node-table routes.
+inclusion-minimal minimizer of f over the whole ring family.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ccsm.enumeration import (
-    _node_table_per_pair,
-    _node_table_ternary,
-    _pair_masks,
-    _scaled_table,
-)
+from ccsm.enumeration import _pair_masks, _pinned_minimizers, _scaled_table
 from ccsm.families import random_oracle, random_ring
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
@@ -24,59 +18,49 @@ from helpers import brute_constrained_min, card_lex_key, naive_ring_member
 ABC = GroundSet(("a", "b", "c"))
 SQUARE = GroundSet(("a", "b", "c", "d"))
 CYCLE4 = tuple((u, v, 1) for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")))
-ROUTES = (_node_table_ternary, _node_table_per_pair)
 
 
 def _minimal_min(oracle, ring):
-    """(minimizer, value) from each route, or None where the ring is empty."""
+    """(minimizer, value), or None where the ring is empty."""
     n = oracle.ground.n
     _, g = _scaled_table(oracle, ring)
     amask, bmask = _pair_masks(n, 0)
-    out = []
-    for route in ROUTES:
-        setmask, nonempty = route(g, n, amask, bmask)
-        if not nonempty[0]:
-            out.append(None)
-            continue
-        best = oracle.ground.set_of(int(setmask[0]))
-        out.append((best, oracle.eval(best)))
-    return out
+    setmask, nonempty = _pinned_minimizers(g, n, amask, bmask)
+    if not nonempty[0]:
+        return None
+    best = oracle.ground.set_of(int(setmask[0]))
+    return best, oracle.eval(best)
 
 
 def test_unconstrained_modular_minimum():
     f = SubmodularOracle(ABC, Modular({"a": -2, "b": 1, "c": 3}))
-    for res in _minimal_min(f, RingFamily.full(ABC)):
-        assert res == (frozenset({"a"}), -2)
+    assert _minimal_min(f, RingFamily.full(ABC)) == (frozenset({"a"}), -2)
 
 
 def test_forced_in_element_changes_the_minimum():
     g = GroundSet(("a", "b"))
     f = SubmodularOracle(g, Modular({"a": -2, "b": 1}))
     ring = RingFamily.from_labels(g, forced_in=("b",))
-    for res in _minimal_min(f, ring):
-        assert res == (frozenset({"a", "b"}), -1)
+    assert _minimal_min(f, ring) == (frozenset({"a", "b"}), -1)
 
 
 def test_cut_with_forced_sides():
     f = SubmodularOracle(SQUARE, CutUndirected(CYCLE4))
     ring = RingFamily.from_labels(SQUARE, forced_in=("a",), forced_out=("c",))
-    for res in _minimal_min(f, ring):
-        # {a} is the smallest of the optimal sides of value 2.
-        assert res == (frozenset({"a"}), 2)
+    # {a} is the smallest of the optimal sides of value 2.
+    assert _minimal_min(f, ring) == (frozenset({"a"}), 2)
 
 
 def test_minimal_min_of_the_zero_function_is_empty():
     f = SubmodularOracle(ABC, Modular({}))
-    for res in _minimal_min(f, RingFamily.full(ABC)):
-        assert res == (frozenset(), 0)
+    assert _minimal_min(f, RingFamily.full(ABC)) == (frozenset(), 0)
 
 
 def test_minimal_min_ignores_zero_weight_padding():
     g = GroundSet(("a", "b"))
     f = SubmodularOracle(g, Modular({"a": 0, "b": -1}))
     # {b} and {a, b} are both optimal; only {b} is inclusion-minimal.
-    for res in _minimal_min(f, RingFamily.full(g)):
-        assert res == (frozenset({"b"}), -1)
+    assert _minimal_min(f, RingFamily.full(g)) == (frozenset({"b"}), -1)
 
 
 def _random_cases(count, max_n, seed):
@@ -111,14 +95,13 @@ def test_sfm_min_matches_brute_force_with_tie_break():
     for oracle, ring in _random_cases(60, 7, seed=20):
         best, optima = _brute(oracle, ring)
         want = min(optima, key=card_lex_key(list(oracle.ground.elements)))
-        for res in _minimal_min(oracle, ring):
-            assert res == (want, best)
+        assert _minimal_min(oracle, ring) == (want, best)
 
 
 def test_sfm_minimal_min_is_contained_in_every_minimizer():
     for oracle, ring in _random_cases(60, 7, seed=21):
         best, optima = _brute(oracle, ring)
-        for minimizer, value in _minimal_min(oracle, ring):
-            assert value == best
-            for opt in optima:
-                assert minimizer <= opt
+        minimizer, value = _minimal_min(oracle, ring)
+        assert value == best
+        for opt in optima:
+            assert minimizer <= opt
