@@ -196,6 +196,8 @@ def _cmd_transform(args) -> int:
         return EXIT_OK
     if args.n is None:
         raise InputError("transform needs --n or --system")
+    if args.n < 0:
+        raise InputError(f"--n must be >= 0, got {args.n}")
     ground = GroundSet(tuple(f"e{i}" for i in range(1, args.n + 1)))
     tr = apply_transform(kind, ground)
     report = verify_transform(kind, args.n) if args.n <= 8 else None
@@ -273,6 +275,8 @@ def _cmd_check_lemmas(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.m < 1 or args.n < 0 or args.trials < 0:
+        raise InputError("bench needs --m >= 1, --n >= 0 and --trials >= 0")
     rng = np.random.default_rng(args.seed)
     rows = []
     all_agree = True

@@ -11,7 +11,7 @@ g(S) = (n + 1) f(S) + |S| over the dense 2**n table: minimizers of f on a
 lattice are closed under union and intersection, so g has a unique
 minimizer on every non-empty sublattice and it is the inclusion-minimal
 minimizer of f.  ``_node_table`` is the one place that computes them,
-for one shared pair list, in ``_pinned_minimizers``:
+for every pair, in ``_pinned_minimizers``:
 
 - slice: for a fixed B, the sets that avoid B form a 2**(n - |B|)
   sub-cube of the table, copied out with B's axes at 0;
@@ -26,6 +26,13 @@ updates, and the walks n - |B| steps per pair.  Slices with the same
 |B| = j are stacked 2**j to a chunk, so apart from arrays with one
 entry per pair, the working memory beyond the table is one chunk of
 2**n cells.  The README gives measured timings.
+
+The node table lists the pairs in the order they are swept, (|B|, B,
+|A|, A): once B's bits are squeezed out of its slice, every B with
+|B| = j leaves the same n - j free bits, so one list of A sides, the
+subsets of at most d of those bits, serves them all.  Each row carries
+its minimizer and the minimizer's g, and ``_select`` orders the distinct
+sets by (g, lex).  As 0 <= |S| <= n < n + 1, that is (f, |S|, lex) order.
 """
 
 from __future__ import annotations
@@ -37,15 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .constraints import (
-    CongruencyConstraint,
-    Constraint,
-    GeneralizedConstraint,
-    MembershipOracle,
-    TCutConstraint,
-    default_depth,
-    guarantees_exactness,
-)
+from .constraints import Constraint, default_depth, guarantees_exactness
 from .errors import InputError
 from .ground import GroundSet, iter_bits, popcount_array, reversed_bits_array
 from .lattice import RingFamily
@@ -66,65 +65,57 @@ def pair_count(n: int, d: int) -> int:
     return total
 
 
-def _pair_masks(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of A and of B for every candidate pair, in candidate order.
-
-    The sets of size <= d, in (size, lex) order, are the A side; the B
-    sides of one A are the same list filtered to the sets disjoint from A,
-    which keeps their (size, lex) order.
-    """
-    small = np.array(
-        [sum(1 << i for i in c) for k in range(min(n, d) + 1) for c in combinations(range(n), k)],
-        dtype=np.int64,
-    )
-    partners = [small[(small & a) == 0] for a in small.tolist()]
-    return np.repeat(small, [len(p) for p in partners]), np.concatenate(partners)
-
-
 def candidate_pairs(n: int, d: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All disjoint index pairs (A, B) up to size d, in (size, lex) order of
     A and then of B."""
     if n < 0 or d < 0:
         raise InputError("candidate_pairs needs n >= 0 and d >= 0")
-    amask, bmask = _pair_masks(n, d)
-    for a, b in zip(amask.tolist(), bmask.tolist()):
-        yield tuple(iter_bits(a)), tuple(iter_bits(b))
+    for i in range(min(n, d) + 1):
+        for a in combinations(range(n), i):
+            rest = [e for e in range(n) if e not in a]
+            for j in range(min(n - i, d) + 1):
+                for b in combinations(rest, j):
+                    yield a, b
 
 
 @dataclass
 class _NodeTable:
-    """Per-pair results: masks of A and B, the minimal minimizer, emptiness.
+    """One row per pair, in (|B|, B, |A|, A) order: the masks of A and B,
+    the minimal minimizer and its scaled value g.
 
-    ``setmask`` is 0 wherever ``nonempty`` is false.
+    Empty pairs hold ``setmask`` 0 and ``g`` equal to ``_SENTINEL``.
     """
 
     amask: np.ndarray
     bmask: np.ndarray
     setmask: np.ndarray
-    nonempty: np.ndarray
-    values: np.ndarray
+    g: np.ndarray
+
+    @property
+    def nonempty(self) -> np.ndarray:
+        return self.g != _SENTINEL
 
 
-def _scaled_table(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_table(oracle: SubmodularOracle, ring: RingFamily) -> np.ndarray:
     n = oracle.ground.n
     values = oracle.value_table()
     feasible = ring.feasibility_table()
     masks = np.arange(1 << n, dtype=np.int64)
     scaled = (n + 1) * values + popcount_array(masks)
-    return values, np.where(feasible, scaled, _SENTINEL)
+    return np.where(feasible, scaled, _SENTINEL)
 
 
-def _drop_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    """Delete the bit positions set in ``drop`` from each mask, closing the gaps."""
-    while drop.any():
-        low = drop & -drop
-        masks = (masks & (low - 1)) | ((masks >> 1) & -low)
-        drop = (drop ^ low) >> 1
-    return masks
+def _subset_masks(n: int, sizes: range) -> np.ndarray:
+    """Masks of the subsets of n bits whose size lies in ``sizes``, in
+    (size, lex) order."""
+    return np.array(
+        [sum(1 << i for i in c) for k in sizes for c in combinations(range(n), k)],
+        dtype=np.int64,
+    )
 
 
 def _restore_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    """Inverse of ``_drop_bits``: put zero bits back at the positions of ``drop``."""
+    """Put zero bits back at the positions set in ``drop`` in each mask."""
     while drop.any():
         low = drop & -drop
         masks = (masks & (low - 1)) | ((masks & -low) << 1)
@@ -132,13 +123,12 @@ def _restore_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _pinned_minimizers(
-    g: np.ndarray, n: int, amask: np.ndarray, bmask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair, an argmin of ``g`` over the interval [A, N - B] and
-    whether the interval holds a member (a cell below ``_SENTINEL``); the
-    argmin is 0 where it does not.  Found by the slice, sweep and walk of
-    the module docstring.
+def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
+    """The node table of every pair up to depth ``d``: per pair an argmin
+    of ``g`` over the interval [A, N - B], or an empty row where the
+    interval holds no member (no cell below ``_SENTINEL``).  Found by the
+    slice, sweep and walk of the module docstring, with rows in the
+    (|B|, B, |A|, A) order given there.
 
     The walk ends on a cell x that holds the interval minimum, while each
     ``x | t`` is a superset of the cell where t was rejected and so holds
@@ -148,20 +138,16 @@ def _pinned_minimizers(
     """
     cube = g.reshape((2,) * n)
     buf = np.empty(1 << n, dtype=np.int64)
-    setmask = np.zeros_like(amask)
-    nonempty = np.zeros(len(amask), dtype=bool)
-    # Pairs in (|B|, B) order: each chunk's pairs are one run of ``order``.
-    key = (popcount_array(bmask) << n) | bmask
-    order = np.argsort(key)
-    bkeys, first = np.unique(key[order], return_index=True)
-    first = np.append(first, len(order))
-    for j in range(n + 1):
+    table = _NodeTable(*(np.empty(pair_count(n, d), dtype=np.int64) for _ in range(4)))
+    done = 0
+    for j in range(min(n, d) + 1):
         free = n - j
-        lo, hi = np.searchsorted(bkeys >> n, [j, j + 1]).tolist()
-        for start in range(lo, hi, 1 << j):
-            chunk = bkeys[start : min(start + (1 << j), hi)]
+        starts = _subset_masks(free, range(min(free, d) + 1))
+        bsides = _subset_masks(n, range(j, j + 1))
+        for lo in range(0, len(bsides), 1 << j):
+            chunk = bsides[lo : lo + (1 << j)]
             slices = buf[: len(chunk) << free].reshape((len(chunk),) + (2,) * free)
-            for row, b in enumerate((chunk & ((1 << n) - 1)).tolist()):
+            for row, b in enumerate(chunk.tolist()):
                 avoid_b = [slice(None)] * n
                 for i in iter_bits(b):
                     avoid_b[n - 1 - i] = 0  # axis k of the cube is element n - 1 - k
@@ -170,27 +156,31 @@ def _pinned_minimizers(
             for t in range(free):
                 v = sub.reshape(len(chunk), -1, 2, 1 << t)
                 np.minimum(v[:, :, 0], v[:, :, 1], out=v[:, :, 0])
-            # The walk runs on flat cell indices: the row number above A'.
-            run = order[first[start] : first[start + len(chunk)]]
+            # The walk runs on flat cell indices: the row number above the
+            # free-bit mask of A, from the one list ``starts`` of this |B|.
             cells = sub.reshape(-1)
-            x = (np.searchsorted(chunk, key[run]) << free) | _drop_bits(amask[run], bmask[run])
+            x = ((np.arange(len(chunk), dtype=np.int64) << free)[:, None] | starts).reshape(-1)
             target = cells[x]
             for t in range(free):
                 step = x | (1 << t)
                 x = np.where(cells[step] == target, step, x)
-            nonempty[run] = hit = target != _SENTINEL
-            setmask[run] = np.where(hit, _restore_bits(x & ((1 << free) - 1), bmask[run]), 0)
-    return setmask, nonempty
+            rows = slice(done, done + len(x))
+            drop = np.repeat(chunk, len(starts))
+            table.amask[rows] = _restore_bits(np.tile(starts, len(chunk)), drop)
+            table.bmask[rows] = drop
+            table.setmask[rows] = np.where(
+                target != _SENTINEL, _restore_bits(x & ((1 << free) - 1), drop), 0
+            )
+            table.g[rows] = target
+            done += len(x)
+    return table
 
 
 def _node_table(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeTable:
     """Minimal minimizers of every candidate pair up to depth ``dmax``."""
     n = oracle.ground.n
     require_exhaustible(n, "pair-enumeration solving")
-    values, g = _scaled_table(oracle, ring)
-    amask, bmask = _pair_masks(n, dmax)
-    setmask, nonempty = _pinned_minimizers(g, n, amask, bmask)
-    return _NodeTable(amask, bmask, setmask, nonempty, values)
+    return _pinned_minimizers(_scaled_table(oracle, ring), n, dmax)
 
 
 @dataclass(frozen=True)
@@ -217,10 +207,10 @@ class EnumSolution:
     route: str = ROUTE_TABLE
 
 
-def _ordered_candidates(cands: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Distinct collected sets ordered by (value, cardinality, lex)."""
-    order = np.lexsort((-reversed_bits_array(cands, n), popcount_array(cands), values[cands]))
-    return cands[order]
+def _ordered_candidates(cands: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Distinct sets ordered by (g, lex), given each set's scaled value
+    g = (n + 1) f + |S|.  As 0 <= |S| <= n, that is (f, |S|, lex) order."""
+    return cands[np.lexsort((-reversed_bits_array(cands, n), g))]
 
 
 def enum_solve(
@@ -241,6 +231,8 @@ def enum_solve(
         ring = RingFamily.full(ground)
     if ring.ground is not ground and ring.ground.elements != ground.elements:
         raise InputError("oracle and ring family use different ground sets")
+    if constraint is not None and not isinstance(constraint, Constraint):
+        raise InputError(f"unknown constraint {constraint!r}")
     if depth is None:
         if constraint is None:
             depth = 0
@@ -249,10 +241,10 @@ def enum_solve(
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
     table = _node_table(oracle, ring, depth)
-    pairs = len(table.nonempty)
+    pairs = len(table.g)
     assert pairs == pair_count(n, depth)
-    sfm_calls = int(table.nonempty.sum())
-    return _select(ground, table, table.nonempty, constraint, depth, sfm_calls, pairs)
+    keep = table.nonempty
+    return _select(ground, table, keep, constraint, depth, int(keep.sum()), pairs)
 
 
 def _select(
@@ -264,25 +256,32 @@ def _select(
     sfm_calls: int,
     pairs: int,
 ) -> EnumSolution:
-    """Answer a run from the node-table entries selected by ``keep``.
+    """Answer a run from the node-table rows selected by ``keep``.
 
     The candidates are the distinct sets collected at the kept pairs; the
     answer is the first constraint-feasible one in (value, cardinality,
     lex) order.  ``keep`` must select only non-empty pairs.  The counters
     are the caller's: ``skipped_empty`` is ``pairs - sfm_calls``.
     """
-    ordered = _ordered_candidates(np.unique(table.setmask[keep]), table.values, ground.n).tolist()
+    n = ground.n
+    sets, first = np.unique(table.setmask[keep], return_index=True)
+    scaled = table.g[keep][first]
+    ordered = _ordered_candidates(sets, scaled, n).tolist()
     if constraint is None:
         feasible = lambda mask: True  # noqa: E731
         # Unconstrained runs return the lattice minimum itself.
         guaranteed = True
     else:
-        feasible = _compile_member(constraint, ground)
+        feasible = lambda mask: constraint.mask_member(mask, ground)  # noqa: E731
         guaranteed = guarantees_exactness(constraint, depth)
     best_mask = next((m for m in ordered if feasible(m)), None)
+    value = None
+    if best_mask is not None:
+        best_g = int(scaled[np.searchsorted(sets, best_mask)])
+        value = (best_g - best_mask.bit_count()) // (n + 1)
     return EnumSolution(
         best=None if best_mask is None else ground.set_of(best_mask),
-        value=None if best_mask is None else int(table.values[best_mask]),
+        value=value,
         depth=depth,
         candidates=len(ordered),
         sfm_calls=sfm_calls,
@@ -290,21 +289,3 @@ def _select(
         guaranteed=guaranteed,
         candidate_sets=tuple(ground.set_of(m) for m in ordered),
     )
-
-
-def _compile_member(constraint: Constraint, ground):
-    """Bind a constraint to a ground set as a fast mask predicate."""
-    if isinstance(constraint, CongruencyConstraint):
-        m, r = constraint.modulus, constraint.residue
-        return lambda mask: mask.bit_count() % m == r
-    if isinstance(constraint, TCutConstraint):
-        tm = ground.mask_of(constraint.terminals)
-        m, r = constraint.modulus, constraint.residue
-        return lambda mask: (mask & tm).bit_count() % m == r
-    if isinstance(constraint, GeneralizedConstraint):
-        tms = constraint.term_masks(ground)
-        m = constraint.modulus
-        return lambda mask: all((mask & tm).bit_count() % m == ri for tm, ri in tms)
-    if isinstance(constraint, MembershipOracle):
-        return lambda mask: constraint.mask_member(mask, ground)
-    raise InputError(f"unknown constraint {constraint!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import CongruencyConstraint, GeneralizedConstraint
+from .errors import InputError
 from .ground import GroundSet
 from .instances import Instance
 from .lattice import RingFamily
@@ -34,7 +35,7 @@ def tight_depth_instance(m: int, extra: int = 2) -> Instance:
     set that never has exactly m elements.
     """
     if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+        raise InputError(f"modulus must be >= 2, got {m}")
     labels = tuple(str(i) for i in range(m + extra + 1))
     ground = GroundSet(labels)
     weights = {lab: 1 for lab in labels}
@@ -145,7 +146,7 @@ def random_closed_covering_system(rng: np.random.Generator, n: int) -> SetSystem
     residue conditions to fail.
     """
     if n < 1:
-        raise ValueError(f"ground size must be >= 1, got {n}")
+        raise InputError(f"ground size must be >= 1, got {n}")
     ground = GroundSet(_labels(n))
     masks = {ground.full_mask}
     for _ in range(int(rng.integers(1, 5))):
@@ -172,7 +173,7 @@ def random_oracle(rng: np.random.Generator, family: str, n: int) -> SubmodularOr
         return random_coverage(rng, n)
     if family == "table":
         return random_table(rng, n)
-    raise ValueError(f"unknown family {family!r}")
+    raise InputError(f"unknown family {family!r}")
 
 
 def random_instance(
@@ -183,6 +184,8 @@ def random_instance(
     lattice_prob: float = 0.5,
 ) -> Instance:
     """Random congruency instance: oracle, ring family, and a residue."""
+    if modulus < 1:
+        raise InputError(f"modulus must be >= 1, got {modulus}")
     oracle = random_oracle(rng, family, n)
     ring = random_ring(rng, oracle.ground, lattice_prob)
     constraint = CongruencyConstraint(modulus, int(rng.integers(0, modulus)))

@@ -372,6 +372,24 @@ def test_bench_families(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--family", "random-cut", "--m", "0"),
+        ("bench", "--family", "sec6", "--m", "1"),
+        ("bench", "--family", "random-modular", "--m", "2", "--n", "-2"),
+        ("bench", "--family", "random-modular", "--m", "2", "--trials", "-1"),
+        ("transform", "--kind", "binomial", "--n", "-1"),
+    ],
+    ids=["cut-m-0", "sec6-m-1", "bench-n-negative", "trials-negative", "transform-n-negative"],
+)
+def test_out_of_range_numbers_exit_two(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out is None
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
     "weights",
     [{"a": 2**62, "b": 2**62, "c": -5}, {"a": 2**63, "b": 0, "c": 0}],
 )

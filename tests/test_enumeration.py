@@ -11,7 +11,6 @@ from ccsm.constraints import (
     MembershipOracle,
 )
 from ccsm.enumeration import (
-    _pair_masks,
     _pinned_minimizers,
     _scaled_table,
     candidate_pairs,
@@ -32,14 +31,6 @@ from ccsm.limits import _SENTINEL
 from ccsm.oracles import CutUndirected, Modular, SubmodularOracle
 from ccsm.reference import exhaustive_solve
 from helpers import brute_constrained_min, naive_pairs, naive_ring_member, powerset
-
-
-def _pinned_table(oracle, ring, d):
-    """The shared pair masks and the (setmask, nonempty) arrays."""
-    n = oracle.ground.n
-    _, g = _scaled_table(oracle, ring)
-    amask, bmask = _pair_masks(n, d)
-    return amask, bmask, _pinned_minimizers(g, n, amask, bmask)
 
 
 def test_pair_count_frozen_values():
@@ -137,24 +128,30 @@ def test_node_table_matches_brute_force(cases):
         fout = g.labels_of(ring.forced_out)
         arcs = [(labels[u], labels[v]) for u, v in ring.implications]
         value = {s: oracle.eval(s) for s in powerset(labels)}
-        amask, bmask, (setmask, nonempty) = _pinned_table(oracle, ring, d)
-        pairs = list(candidate_pairs(g.n, d))
-        assert len(pairs) == len(amask)
-        for k, (a, b) in enumerate(pairs):
-            a_labels = [labels[i] for i in a]
-            b_labels = [labels[i] for i in b]
-            assert int(amask[k]) == g.mask_of(a_labels)
-            assert int(bmask[k]) == g.mask_of(b_labels)
+        scaled = _scaled_table(oracle, ring)
+        table = _pinned_minimizers(scaled, g.n, d)
+        rows = list(zip(table.amask.tolist(), table.bmask.tolist()))
+        pairs = [
+            (sum(1 << i for i in a), sum(1 << i for i in b)) for a, b in candidate_pairs(g.n, d)
+        ]
+        # Each pair once, in any order.
+        assert len(rows) == len(set(rows)) == len(pairs)
+        assert set(rows) == set(pairs)
+        for k, (a, b) in enumerate(rows):
+            a_labels = g.labels_of(a)
+            b_labels = g.labels_of(b)
             best, optima = brute_constrained_min(
                 labels,
                 value.__getitem__,
                 lambda s: naive_ring_member(s, (*fin, *a_labels), (*fout, *b_labels), arcs),
             )
-            assert bool(nonempty[k]) == (best is not None)
+            assert bool(table.nonempty[k]) == (best is not None)
             if best is None:
-                assert setmask[k] == 0
+                assert table.setmask[k] == 0
+                assert table.g[k] == _SENTINEL
                 continue
-            got = g.set_of(int(setmask[k]))
+            assert table.g[k] == scaled[table.setmask[k]]
+            got = g.set_of(int(table.setmask[k]))
             assert got in optima
             assert all(got <= opt for opt in optima)
 
@@ -171,9 +168,10 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
         g = rng.integers(0, 4, size=1 << n).astype(np.int64)
         g[rng.random(1 << n) < 0.3] = _SENTINEL
         masks = np.arange(1 << n)
-        amask, bmask = _pair_masks(n, d)
-        setmask, nonempty = _pinned_minimizers(g, n, amask, bmask)
-        for a, b, s, ne in zip(amask.tolist(), bmask.tolist(), setmask.tolist(), nonempty):
+        table = _pinned_minimizers(g, n, d)
+        for a, b, s, ne in zip(
+            table.amask.tolist(), table.bmask.tolist(), table.setmask.tolist(), table.nonempty
+        ):
             low = g[((masks & a) == a) & ((masks & b) == 0)].min()
             assert ne == (low != _SENTINEL)
             if not ne:
@@ -329,6 +327,13 @@ def test_input_validation():
         enum_solve(oracle, None, CongruencyConstraint(2, 0), depth=-1)
     with pytest.raises(InputError):
         enum_solve(oracle, None, MembershipOracle(lambda s: True))
+
+
+def test_non_constraint_with_explicit_depth_is_refused():
+    g = GroundSet(("a", "b"))
+    oracle = SubmodularOracle(g, Modular({}))
+    with pytest.raises(InputError):
+        enum_solve(oracle, None, lambda s: True, depth=1)
 
 
 def test_membership_oracle_with_explicit_depth_runs_unguaranteed():

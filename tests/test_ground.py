@@ -72,9 +72,12 @@ def test_ground_set_rejects_duplicates_and_unknown_labels():
 
 def test_card_lex_order_prefers_small_then_early_bits():
     # {a} before {b} before {a, b} under (cardinality, label order).
-    order = _ordered_candidates(np.array([0b11, 0b10, 0b01]), np.zeros(4, dtype=np.int64), 2)
+    # With f = 0 the scaled value g = (n + 1) f + |S| is the cardinality.
+    arr = np.array([0b11, 0b10, 0b01])
+    order = _ordered_candidates(arr, popcount_array(arr), 2)
     assert order.tolist() == [0b01, 0b10, 0b11]
-    order = _ordered_candidates(np.array([0b110, 0b011]), np.zeros(8, dtype=np.int64), 3)
+    arr = np.array([0b110, 0b011])
+    order = _ordered_candidates(arr, popcount_array(arr), 3)
     assert order.tolist() == [0b011, 0b110]
 
 
@@ -86,7 +89,9 @@ def test_card_lex_order_matches_sorted_label_sets(n, data):
         )
     )
     arr = np.array(data.draw(st.permutations(sorted(set(masks)))), dtype=np.int64)
-    order = _ordered_candidates(arr, np.zeros(1 << n, dtype=np.int64), n)
-    got = [tuple(iter_bits(int(m))) for m in order]
-    want = sorted((tuple(iter_bits(int(m))) for m in arr), key=lambda idx: (len(idx), idx))
+    f = {int(m): data.draw(st.integers(min_value=-3, max_value=3)) for m in arr}
+    g = np.array([(n + 1) * f[int(m)] + popcount(int(m)) for m in arr], dtype=np.int64)
+    order = _ordered_candidates(arr, g, n)
+    got = [int(m) for m in order]
+    want = sorted(f, key=lambda m: (f[m], popcount(m), tuple(iter_bits(m))))
     assert got == want

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ccsm.enumeration import _pair_masks, _pinned_minimizers, _scaled_table
+from ccsm.enumeration import _pinned_minimizers, _scaled_table
 from ccsm.families import random_oracle, random_ring
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
@@ -22,13 +22,10 @@ CYCLE4 = tuple((u, v, 1) for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", 
 
 def _minimal_min(oracle, ring):
     """(minimizer, value), or None where the ring is empty."""
-    n = oracle.ground.n
-    _, g = _scaled_table(oracle, ring)
-    amask, bmask = _pair_masks(n, 0)
-    setmask, nonempty = _pinned_minimizers(g, n, amask, bmask)
-    if not nonempty[0]:
+    table = _pinned_minimizers(_scaled_table(oracle, ring), oracle.ground.n, 0)
+    if not table.nonempty[0]:
         return None
-    best = oracle.ground.set_of(int(setmask[0]))
+    best = oracle.ground.set_of(int(table.setmask[0]))
     return best, oracle.eval(best)
 
 
