@@ -226,7 +226,14 @@ def _cmd_search_system(args) -> int:
     return EXIT_OK
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _cmd_check_lemmas(args) -> int:
+    rng = _seeded_rng(args.seed)
     checks: list[dict] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -248,7 +255,6 @@ def _cmd_check_lemmas(args) -> int:
     for m in (2, 3, 5, 7):
         ok = all((pow(x, m - 1, m) == 0) == (x % m == 0) for x in range(10 * m + 1))
         record(f"power residue pattern prime m={m}", ok)
-    rng = np.random.default_rng(args.seed)
     bad = 0
     for _ in range(200):
         system = random_closed_covering_system(rng, int(rng.integers(1, 7)))
@@ -277,7 +283,7 @@ def _cmd_check_lemmas(args) -> int:
 def _cmd_bench(args) -> int:
     if args.m < 1 or args.n < 0 or args.trials < 0:
         raise InputError("bench needs --m >= 1, --n >= 0 and --trials >= 0")
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     rows = []
     all_agree = True
     for trial in range(args.trials):

@@ -1,11 +1,20 @@
 """Submodular function specs and evaluation oracles.
 
 A :class:`SubmodularOracle` pairs a ground set with one of the function
-specs below and exposes scalar, vectorized, and full-table evaluation.
-Values are integers throughout; every oracle also carries ``range_bound``,
-an upper bound on ``max |f|``.  Functions whose values could push the
-solver's scaled int64 tables past ``limits._SENTINEL`` are refused with
+specs below and exposes scalar and full-table evaluation.  Values are
+integers throughout; every oracle also carries ``range_bound``, an upper
+bound on ``max |f|``.  Functions whose values could push the solver's
+scaled int64 tables past ``limits._SENTINEL`` are refused with
 ``InputError``.
+
+The dense table is built by bit doubling: the half of the table whose
+masks hold bit i is the lower half plus one cheap step (a weight for
+modular specs, a weight plus a modular row table for cuts, an OR for
+coverage), so a table over 2**n sets costs O(2**n) numpy work however
+many edges or items the spec has.  Every intermediate is at most
+3 * range_bound in absolute value, so the int64 arithmetic is exact.
+The scalar ``eval_mask`` follows the spec's definition directly and is
+the independent check on the table.
 """
 
 from __future__ import annotations
@@ -81,6 +90,18 @@ def _check_edge_list(ground: GroundSet, items, kind: str):
             raise InputError(f"{kind} weights must be nonnegative, got {w} on ({u!r}, {v!r})")
         out.append((iu, iv, w))
     return out
+
+
+_WORD = (1 << 64) - 1
+
+
+def _modular_table(weights: np.ndarray) -> np.ndarray:
+    """Table of sum(weights[i] for bits i of mask) over all 2**len(weights) masks."""
+    t = np.zeros(1 << len(weights), dtype=np.int64)
+    for i, w in enumerate(weights):
+        h = 1 << i
+        np.add(t[:h], w, out=t[h : 2 * h])
+    return t
 
 
 class SubmodularOracle:
@@ -193,52 +214,69 @@ class SubmodularOracle:
             return spec.base.eval_mask(base_mask)
         raise AssertionError(spec)
 
-    def eval_masks(self, masks: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over an int64 array of masks."""
-        masks = np.asarray(masks, dtype=np.int64)
-        spec = self.spec
-        if self._table is not None:
-            return self._table[masks]
-        if isinstance(spec, Modular):
-            out = np.zeros(len(masks), dtype=np.int64)
-            for i in range(self.ground.n):
-                wi = int(self._weights[i])
-                if wi:
-                    out += ((masks >> i) & 1) * wi
-            return out
-        if isinstance(spec, CutUndirected):
-            out = np.zeros(len(masks), dtype=np.int64)
-            for u, v, w in zip(self._eu, self._ev, self._ew):
-                out += (((masks >> int(u)) ^ (masks >> int(v))) & 1) * int(w)
-            return out
-        if isinstance(spec, CutDirected):
-            out = np.zeros(len(masks), dtype=np.int64)
-            for u, v, w in zip(self._eu, self._ev, self._ew):
-                out += ((masks >> int(u)) & ~(masks >> int(v)) & 1) * int(w)
-            return out
-        if isinstance(spec, Coverage):
-            if self._n_items <= 64:
-                acc = np.zeros(len(masks), dtype=np.uint64)
-                for i in range(self.ground.n):
-                    cov = np.uint64(self._covers[i])
-                    acc |= np.where((masks >> i) & 1 == 1, cov, np.uint64(0))
-                return np.bitwise_count(acc).astype(np.int64)
-            return np.array([self.eval_mask(int(m)) for m in masks], dtype=np.int64)
-        if isinstance(spec, _Projected):
-            base_masks = np.zeros(len(masks), dtype=np.int64)
-            for j, b in enumerate(spec.source_bits):
-                base_masks |= ((masks >> b) & 1) << j
-            return spec.base.eval_masks(base_masks)
-        raise AssertionError(spec)
-
     def value_table(self) -> np.ndarray:
-        """The dense table f over all 2**n subsets (cached)."""
+        """The dense table f over all 2**n subsets (cached), built by bit doubling.
+
+        Step i writes ``t[2**i : 2**(i+1)]`` from ``t[:2**i]``: O(2**n) numpy
+        work per table.  Intermediates stay within 3 * range_bound, which
+        ``(n + 2) * range_bound <= _SENTINEL`` keeps exact in int64.
+        """
         if self._table is None:
             n = self.ground.n
             require_exhaustible(n, "materializing a value table")
-            masks = np.arange(1 << n, dtype=np.int64)
-            self._table = self.eval_masks(masks)
+            spec = self.spec
+            if isinstance(spec, Modular):
+                self._table = _modular_table(self._weights)
+            elif isinstance(spec, (CutUndirected, CutDirected)):
+                self._table = self._cut_table()
+            elif isinstance(spec, Coverage):
+                self._table = self._coverage_table()
+            elif isinstance(spec, _Projected):
+                shifts = np.zeros(n, dtype=np.int64)
+                for j, b in enumerate(spec.source_bits):
+                    shifts[b] += 1 << j
+                self._table = spec.base.value_table()[_modular_table(shifts)]
+            else:
+                raise AssertionError(spec)
         return self._table
+
+    def _cut_table(self) -> np.ndarray:
+        """Cut table as f(S) = sum a_i x_i + sum_{j<i} b_ij x_i x_j.
+
+        An undirected edge uv of weight w adds w to a_u and a_v and -2w to
+        b_uv; an arc u->v adds w to a_u and -w to b_uv.  The upper half
+        for bit i is the lower half plus a_i plus the modular table of row
+        b_i over the bits below i.
+        """
+        n = self.ground.n
+        undirected = isinstance(self.spec, CutUndirected)
+        a = np.zeros(n, dtype=np.int64)
+        b = np.zeros((n, n), dtype=np.int64)
+        np.add.at(a, self._eu, self._ew)
+        if undirected:
+            np.add.at(a, self._ev, self._ew)
+        hi, lo = np.maximum(self._eu, self._ev), np.minimum(self._eu, self._ev)
+        np.add.at(b, (hi, lo), -(1 + undirected) * self._ew)
+        t = np.zeros(1 << n, dtype=np.int64)
+        for i in range(n):
+            h = 1 << i
+            upper = t[h : 2 * h]
+            np.add(t[:h], a[i], out=upper)
+            if b[i, :i].any():
+                upper += _modular_table(b[i, :i])
+        return t
+
+    def _coverage_table(self) -> np.ndarray:
+        """Item counts: an OR-doubled uint64 table per 64-item word, popcounted."""
+        n = self.ground.n
+        t = np.zeros(1 << n, dtype=np.int64)
+        for shift in range(0, self._n_items, 64):
+            word = np.zeros(1 << n, dtype=np.uint64)
+            for i, cov in enumerate(self._covers):
+                h = 1 << i
+                np.bitwise_or(word[:h], np.uint64((cov >> shift) & _WORD), out=word[h : 2 * h])
+            t += np.bitwise_count(word)
+        return t
 
 
 @dataclass(frozen=True)

@@ -283,8 +283,8 @@ def search_md_system(m: int, d: int, n: int, generator_budget: int) -> SetSystem
     avoids n mod m, since no member may match it.  Returns the first hit
     in a deterministic (budget, then lexicographic) order, or None.
     """
-    if m < 1 or d < 0:
-        raise InputError("need m >= 1 and d >= 0")
+    if m < 1 or d < 0 or n < 0:
+        raise InputError("need m >= 1, d >= 0 and n >= 0")
     if n > 8:
         raise InputError(f"search is exponential; n={n} > 8 refused")
     if generator_budget < 1 or generator_budget > 6:

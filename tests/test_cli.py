@@ -379,8 +379,20 @@ def test_bench_families(capsys):
         ("bench", "--family", "random-modular", "--m", "2", "--n", "-2"),
         ("bench", "--family", "random-modular", "--m", "2", "--trials", "-1"),
         ("transform", "--kind", "binomial", "--n", "-1"),
+        ("bench", "--family", "random-cut", "--m", "2", "--seed", "-1"),
+        ("check-lemmas", "--seed", "-1"),
+        ("search-system", "--m", "3", "--d", "1", "--n", "-1", "--budget", "3"),
     ],
-    ids=["cut-m-0", "sec6-m-1", "bench-n-negative", "trials-negative", "transform-n-negative"],
+    ids=[
+        "cut-m-0",
+        "sec6-m-1",
+        "bench-n-negative",
+        "trials-negative",
+        "transform-n-negative",
+        "bench-seed-negative",
+        "check-lemmas-seed-negative",
+        "search-system-n-negative",
+    ],
 )
 def test_out_of_range_numbers_exit_two(capsys, argv):
     rc, out, err = run(capsys, *argv)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ccsm.constraints import tcut_reduce
 from ccsm.errors import InputError
 from ccsm.ground import GroundSet
+from ccsm.lattice import RingFamily
 from ccsm.limits import _SENTINEL
 from ccsm.oracles import (
     Coverage,
@@ -15,6 +17,7 @@ from ccsm.oracles import (
     ExplicitTable,
     Modular,
     SubmodularOracle,
+    _Projected,
     check_submodular,
 )
 from helpers import (
@@ -138,21 +141,119 @@ def test_oracles_match_naive_formulas(case):
         assert oracle.eval(subset) == naive(subset)
 
 
-def test_eval_mask_and_eval_masks_agree_with_eval():
+def test_value_table_agrees_with_eval_mask_and_eval():
     for oracle, _ in _random_oracles(seed=3):
-        ground = oracle.ground
-        masks = np.arange(1 << ground.n, dtype=np.int64)
-        bulk = oracle.eval_masks(masks)
-        for mask in range(1 << ground.n):
-            assert oracle.eval_mask(mask) == bulk[mask]
-            assert oracle.eval(ground.labels_of(mask)) == bulk[mask]
+        _assert_table_matches_scalar(oracle)
+
+
+def _assert_table_matches_scalar(oracle, naive=None):
+    """The doubled table equals the scalar path (and ``naive``) on every mask.
+
+    The scalar values are read before ``value_table`` runs: once the table
+    is cached, ``eval_mask`` reads it instead of the spec.
+    """
+    ground = oracle.ground
+    scalar = [oracle.eval_mask(mask) for mask in range(1 << ground.n)]
+    by_labels = [oracle.eval(ground.labels_of(mask)) for mask in range(1 << ground.n)]
+    table = oracle.value_table()
+    assert table.dtype == np.int64 and table.shape == (1 << ground.n,)
+    assert table.tolist() == scalar == by_labels
+    if naive is not None:
+        assert scalar == [naive(ground.labels_of(mask)) for mask in range(1 << ground.n)]
+
+
+def _labels(n):
+    return tuple(f"v{i}" for i in range(n))
+
+
+def _edge_cases():
+    """(id, oracle factory, naive formula) triples for the table check."""
+    five = GroundSet(_labels(5))
+    rng = np.random.default_rng(7)
+    multi = [("v0", "v1", 3), ("v0", "v1", 2), ("v1", "v0", 4), ("v2", "v4", 0),
+             ("v4", "v2", 5), ("v3", "v1", 1), ("v3", "v1", 1), ("v0", "v4", 0)]
+    randomized = [
+        (f"v{u}", f"v{v}", int(rng.integers(0, 7)))
+        for u, v in rng.integers(0, 5, size=(30, 2))
+        if u != v
+    ]
+    for name, ground in (("n0", GroundSet(())), ("n1", GroundSet(("v0",)))):
+        yield f"modular-{name}", lambda g=ground: SubmodularOracle(g, Modular({"v0": -3} if g.n else {})), None
+        yield f"cut-{name}", lambda g=ground: SubmodularOracle(g, CutUndirected(())), None
+        yield f"arcs-{name}", lambda g=ground: SubmodularOracle(g, CutDirected(())), None
+        yield (
+            f"coverage-{name}",
+            lambda g=ground: SubmodularOracle(g, Coverage({"v0": ("x", "y")} if g.n else {})),
+            None,
+        )
+    zeros = {lab: 0 for lab in five.elements}
+    yield "modular-zero", lambda: SubmodularOracle(five, Modular(zeros)), None
+    zero_edges = [(u, v, 0) for u, v, _ in multi]
+    yield "cut-zero", lambda: SubmodularOracle(five, CutUndirected(tuple(zero_edges))), None
+    yield "arcs-zero", lambda: SubmodularOracle(five, CutDirected(tuple(zero_edges))), None
+    for name, edges in (("multi", multi), ("random", randomized)):
+        yield (
+            f"cut-{name}",
+            lambda e=edges: SubmodularOracle(five, CutUndirected(tuple(e))),
+            lambda s, e=edges: naive_cut_undirected(e, s),
+        )
+        yield (
+            f"arcs-{name}",
+            lambda e=edges: SubmodularOracle(five, CutDirected(tuple(e))),
+            lambda s, e=edges: naive_cut_directed(e, s),
+        )
+    for n_items in (0, 64, 130):
+        items = [f"i{j}" for j in range(n_items)]
+        covered = {
+            lab: tuple(it for it in items if rng.random() < 0.3) for lab in five.elements
+        }
+        if n_items:
+            covered["v4"] = tuple(items)
+        yield (
+            f"coverage-{n_items}-items",
+            lambda c=covered: SubmodularOracle(five, Coverage(c)),
+            lambda s, c=covered: naive_coverage(c, s),
+        )
+
+
+@pytest.mark.parametrize(
+    "make, naive", [case[1:] for case in _edge_cases()], ids=[case[0] for case in _edge_cases()]
+)
+def test_value_table_matches_scalar_on_edge_cases(make, naive):
+    _assert_table_matches_scalar(make(), naive)
+
+
+def test_value_table_matches_scalar_on_projections():
+    base_ground = GroundSet(_labels(4))
+    wide = GroundSet(_labels(7))
+    arcs = (("v0", "v1", 2), ("v1", "v0", 1), ("v2", "v3", 4), ("v3", "v0", 3))
+    bases = [
+        SubmodularOracle(base_ground, CutDirected(arcs)),
+        SubmodularOracle(base_ground, ExplicitTable(tuple((m * 7) % 11 - 5 for m in range(16)))),
+        SubmodularOracle(base_ground, Coverage({"v1": ("x",), "v3": ("x", "y")})),
+    ]
+    source_bits = (5, 0, 3, 6)  # out of order and non-contiguous
+    for base in bases:
+        projected = SubmodularOracle(wide, _Projected(base, source_bits))
+        _assert_table_matches_scalar(
+            projected,
+            lambda s, b=base: b.eval(f"v{j}" for j, src in enumerate(source_bits) if f"v{src}" in s),
+        )
+    ring = RingFamily(base_ground)
+    for terminals in (("v1",), ("v0", "v3")):
+        base = SubmodularOracle(base_ground, CutUndirected(arcs))
+        reduced = tcut_reduce(base, ring, terminals, 3, 1)
+        _assert_table_matches_scalar(
+            reduced.oracle, lambda s, b=base: b.eval(reduced.project(s))
+        )
 
 
 def test_value_table_is_cached_and_complete():
     oracle = SubmodularOracle(ABC, Modular({"a": 1, "b": 2, "c": 4}))
+    scalar = [oracle.eval_mask(m) for m in range(8)]  # before the table is cached
     table = oracle.value_table()
     assert table is oracle.value_table()
-    assert list(table) == [oracle.eval_mask(m) for m in range(8)]
+    assert list(table) == scalar
 
 
 def test_range_bound_dominates_all_values():

@@ -301,3 +301,5 @@ def test_search_validation():
         search_md_system(2, 1, 4, 7)
     with pytest.raises(InputError):
         search_md_system(0, 1, 4, 3)
+    with pytest.raises(InputError):
+        search_md_system(3, 1, -1, 3)
