@@ -223,7 +223,7 @@ def tcut_reduce(
         ring.forced_out,
         list(ring.implications) + clone_arcs,
     )
-    big_oracle = SubmodularOracle(big_ground, _Projected(oracle, tuple(range(n))))
+    big_oracle = SubmodularOracle(big_ground, _Projected(oracle))
     return TCutReduction(
         oracle=big_oracle,
         ring=big_ring,

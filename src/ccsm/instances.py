@@ -100,8 +100,7 @@ def _parse_function(payload: dict, ground: GroundSet) -> SubmodularOracle:
         raise InputError(f"unknown function type {tag!r}")
     oracle = SubmodularOracle(ground, spec)
     if tag == "explicit_table":
-        mode = "exhaustive" if ground.n <= 16 else "sampled"
-        report = check_submodular(oracle, mode=mode, trials=4096)
+        report = check_submodular(oracle)
         if not report.ok:
             a, b = report.witness
             raise InputError(

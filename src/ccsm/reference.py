@@ -65,7 +65,7 @@ def exhaustive_solve(
     ring: RingFamily | None = None,
     constraint: Constraint | None = None,
 ) -> OracleResult:
-    """Ground truth by full enumeration; n is capped (default 24).
+    """Ground truth by full enumeration; n is capped at 24.
 
     Minimal optima are found with a subset-sum style sweep: a set is
     inclusion-minimal optimal iff it is optimal and no single element can

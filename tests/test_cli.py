@@ -421,3 +421,26 @@ def test_values_beyond_int64_headroom_exit_two(capsys, tmp_path, weights):
         assert rc == 2
         assert out is None
         assert "int64" in err
+
+
+def test_inputs_past_the_size_cap_exit_two(capsys, tmp_path):
+    labels = [f"v{i}" for i in range(25)]
+    instance = tmp_path / "modular25.json"
+    instance.write_text(
+        json.dumps(
+            {"ground_set": labels, "function": {"type": "modular", "weights": {"v0": -1}}}
+        )
+    )
+    graph = tmp_path / "path25.json"
+    graph.write_text(
+        json.dumps({"vertices": labels, "edges": [[u, v, 1] for u, v in zip(labels, labels[1:])]})
+    )
+    for argv in (
+        ("solve", "--instance", str(instance)),
+        ("solve-cut", "--graph", str(graph), "--mode", "congruency", "--m", "2", "--r", "1"),
+    ):
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "exceeds the cap 24" in captured.err

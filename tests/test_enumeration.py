@@ -80,7 +80,7 @@ def test_candidate_pairs_are_disjoint_and_complete():
 
 
 def _bounded_depth_cases():
-    """Hand-made and random cases pinned per pair at depths 1-3."""
+    """Hand-made and random cases at depths 1-3."""
     abc = GroundSet(("a", "b", "c"))
     square = GroundSet(("a", "b", "c", "d"))
     cycle = tuple((u, v, 1) for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")))
@@ -114,7 +114,7 @@ def _full_depth_cases():
         yield oracle, ring, n
 
 
-NODE_TABLE_CASES = {"per_pair": _bounded_depth_cases, "ternary": _full_depth_cases}
+NODE_TABLE_CASES = {"bounded_depth": _bounded_depth_cases, "full_depth": _full_depth_cases}
 
 
 @pytest.mark.parametrize("cases", sorted(NODE_TABLE_CASES))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from ccsm.constraints import (
@@ -12,13 +13,24 @@ from ccsm.constraints import (
     TCutConstraint,
 )
 from ccsm.errors import InputError
+from ccsm.families import random_table
 from ccsm.instances import (
+    Instance,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     parse_constraint,
 )
-from ccsm.oracles import Coverage, CutDirected, CutUndirected, ExplicitTable, Modular
+from ccsm.lattice import RingFamily
+from ccsm.oracles import (
+    Coverage,
+    CutDirected,
+    CutUndirected,
+    ExplicitTable,
+    Modular,
+    SubmodularOracle,
+    check_submodular,
+)
 
 
 def _base(function, **extra):
@@ -88,6 +100,22 @@ def test_non_submodular_table_is_rejected_with_witness():
         "function": {"type": "explicit_table", "values": values},
     }
     with pytest.raises(InputError, match="not submodular"):
+        instance_from_dict(payload)
+
+
+def test_non_submodular_table_above_sixteen_elements_is_rejected():
+    # One cell lowered by 50: sampled pairs can miss it, the exact check cannot.
+    rng = np.random.default_rng(2)
+    oracle = random_table(rng, 17)
+    values = list(oracle.spec.values)
+    values[int(rng.integers(1, 1 << 17))] -= 50
+    bad = SubmodularOracle(oracle.ground, ExplicitTable(tuple(values)))
+    report = check_submodular(bad)
+    assert not report.ok and report.mode == "exhaustive"
+    a, b = report.witness
+    assert bad.eval(a) + bad.eval(b) < bad.eval(a | b) + bad.eval(a & b)
+    payload = instance_to_dict(Instance(bad, RingFamily.full(bad.ground), None))
+    with pytest.raises(InputError, match="not submodular: witness"):
         instance_from_dict(payload)
 
 

@@ -17,7 +17,6 @@ from ccsm.oracles import (
     ExplicitTable,
     Modular,
     SubmodularOracle,
-    _Projected,
     check_submodular,
 )
 from helpers import (
@@ -147,15 +146,11 @@ def test_value_table_agrees_with_eval_mask_and_eval():
 
 
 def _assert_table_matches_scalar(oracle, naive=None):
-    """The doubled table equals the scalar path (and ``naive``) on every mask.
-
-    The scalar values are read before ``value_table`` runs: once the table
-    is cached, ``eval_mask`` reads it instead of the spec.
-    """
+    """The doubled table equals the scalar path (and ``naive``) on every mask."""
     ground = oracle.ground
+    table = oracle.value_table()
     scalar = [oracle.eval_mask(mask) for mask in range(1 << ground.n)]
     by_labels = [oracle.eval(ground.labels_of(mask)) for mask in range(1 << ground.n)]
-    table = oracle.value_table()
     assert table.dtype == np.int64 and table.shape == (1 << ground.n,)
     assert table.tolist() == scalar == by_labels
     if naive is not None:
@@ -225,33 +220,46 @@ def test_value_table_matches_scalar_on_edge_cases(make, naive):
 
 def test_value_table_matches_scalar_on_projections():
     base_ground = GroundSet(_labels(4))
-    wide = GroundSet(_labels(7))
     arcs = (("v0", "v1", 2), ("v1", "v0", 1), ("v2", "v3", 4), ("v3", "v0", 3))
     bases = [
-        SubmodularOracle(base_ground, CutDirected(arcs)),
+        SubmodularOracle(base_ground, CutUndirected(arcs)),
         SubmodularOracle(base_ground, ExplicitTable(tuple((m * 7) % 11 - 5 for m in range(16)))),
         SubmodularOracle(base_ground, Coverage({"v1": ("x",), "v3": ("x", "y")})),
     ]
-    source_bits = (5, 0, 3, 6)  # out of order and non-contiguous
-    for base in bases:
-        projected = SubmodularOracle(wide, _Projected(base, source_bits))
-        _assert_table_matches_scalar(
-            projected,
-            lambda s, b=base: b.eval(f"v{j}" for j, src in enumerate(source_bits) if f"v{src}" in s),
-        )
     ring = RingFamily(base_ground)
-    for terminals in (("v1",), ("v0", "v3")):
-        base = SubmodularOracle(base_ground, CutUndirected(arcs))
-        reduced = tcut_reduce(base, ring, terminals, 3, 1)
-        _assert_table_matches_scalar(
-            reduced.oracle, lambda s, b=base: b.eval(reduced.project(s))
-        )
+    for base in bases:
+        for terminals in (("v1",), ("v0", "v3")):
+            reduced = tcut_reduce(base, ring, terminals, 3, 1)
+            _assert_table_matches_scalar(
+                reduced.oracle, lambda s, b=base: b.eval(reduced.project(s))
+            )
+
+
+def test_eval_mask_never_reads_the_cached_table():
+    """Corrupting one cached cell leaves the scalar path on the definition."""
+    rng = np.random.default_rng(13)
+    values = tuple(int(v) for v in rng.integers(-9, 10, size=32))
+    table_oracle = SubmodularOracle(GroundSet(_labels(5)), ExplicitTable(values))
+    cases = list(_random_oracles(seed=17))
+    cases.append((table_oracle, lambda s: values[table_oracle.ground.mask_of(s)]))
+    for base, naive in list(cases):
+        ring = RingFamily(base.ground)
+        reduced = tcut_reduce(base, ring, ("v0", "v2"), 2, 1)
+        cases.append((reduced.oracle, lambda s, r=reduced, f=naive: f(r.project(s))))
+    # Reduced oracles first: their tables are tiled from the base's cache.
+    for oracle, naive in reversed(cases):
+        ground = oracle.ground
+        mask = ground.full_mask // 3
+        oracle.value_table()[mask] += 1
+        for m in (mask, 0, ground.full_mask):
+            assert oracle.eval_mask(m) == naive(ground.labels_of(m))
+        assert oracle.value_table()[mask] == naive(ground.labels_of(mask)) + 1
 
 
 def test_value_table_is_cached_and_complete():
     oracle = SubmodularOracle(ABC, Modular({"a": 1, "b": 2, "c": 4}))
-    scalar = [oracle.eval_mask(m) for m in range(8)]  # before the table is cached
     table = oracle.value_table()
+    scalar = [oracle.eval_mask(m) for m in range(8)]
     assert table is oracle.value_table()
     assert list(table) == scalar
 

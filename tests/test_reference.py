@@ -10,7 +10,7 @@ from ccsm.errors import UnsupportedSizeError
 from ccsm.families import random_generalized_instance, random_instance, tight_depth_instance
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
-from ccsm.oracles import Modular, SubmodularOracle
+from ccsm.oracles import Modular, SubmodularOracle, check_submodular
 from ccsm.reference import exhaustive_solve
 from helpers import brute_constrained_min, inclusion_minimal, naive_ring_member
 
@@ -45,12 +45,14 @@ def test_infeasible_combination_returns_none():
     assert result.all_minimal_optima == ()
 
 
-def test_size_cap_is_enforced(monkeypatch):
-    monkeypatch.setenv("CCSM_MAX_N", "4")
-    g = GroundSet(tuple(f"v{i}" for i in range(5)))
+def test_size_cap_is_enforced():
+    # 25 elements is one past the cap: refused before any 2**25 table exists.
+    g = GroundSet(tuple(f"v{i}" for i in range(25)))
     oracle = SubmodularOracle(g, Modular({}))
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedSizeError, match="exceeds the cap 24"):
         exhaustive_solve(oracle)
+    with pytest.raises(UnsupportedSizeError, match="exceeds the cap 24"):
+        check_submodular(oracle)
 
 
 def _minimal_optima_brute(instance):
