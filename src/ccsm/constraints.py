@@ -1,10 +1,13 @@
 """Cardinality-congruency constraints and their depth parameters.
 
-Three declarative constraint kinds restrict which lattice members count as
-feasible: a single congruence on |S|, a system of congruences on the sizes
-of intersections with fixed sets (all sharing one modulus), and an opaque
-membership predicate.  ``default_depth`` gives the enumeration depth at
-which the pair-enumeration solver is exact for prime-power moduli.
+The three declarative constraint kinds share one form: k congruences
+|S & T_i| = r_i (mod m) with a single modulus m.  A congruence on |S| is
+the one term T = N, a T-cut the one term T, and a generalized constraint
+lists its terms.  ``term_masks`` gives those terms as bitmasks, and the
+membership test, ``default_depth`` (k * (m - 1), the depth at which the
+pair-enumeration solver is exact for prime-power moduli) and the
+reference's dense table all read it.  An opaque membership predicate is
+the fourth kind; it carries no terms.
 """
 
 from __future__ import annotations
@@ -42,8 +45,23 @@ def _check_residue(modulus: int, residue: int, what: str) -> None:
         raise InputError(f"{what} residue must lie in [0, {modulus}), got {residue}")
 
 
+class _Congruences:
+    """k congruences |S & T_i| = r_i (mod ``modulus``), one per ``term_masks`` entry."""
+
+    modulus: int
+    k = 1
+
+    def term_masks(self, ground: GroundSet) -> tuple[tuple[int, int], ...]:
+        raise NotImplementedError
+
+    def mask_member(self, mask: int, ground: GroundSet) -> bool:
+        return all(
+            popcount(mask & tm) % self.modulus == ri for tm, ri in self.term_masks(ground)
+        )
+
+
 @dataclass(frozen=True)
-class CongruencyConstraint:
+class CongruencyConstraint(_Congruences):
     """Feasible iff |S| is congruent to ``residue`` modulo ``modulus``."""
 
     modulus: int
@@ -55,12 +73,12 @@ class CongruencyConstraint:
     def member(self, subset: Iterable[str]) -> bool:
         return len(frozenset(subset)) % self.modulus == self.residue
 
-    def mask_member(self, mask: int, ground: GroundSet) -> bool:
-        return popcount(mask) % self.modulus == self.residue
+    def term_masks(self, ground: GroundSet) -> tuple[tuple[int, int], ...]:
+        return ((ground.full_mask, self.residue),)
 
 
 @dataclass(frozen=True)
-class GeneralizedConstraint:
+class GeneralizedConstraint(_Congruences):
     """Feasible iff |S & S_i| hits residue r_i mod ``modulus`` for every term.
 
     All terms share one modulus; mixing moduli is rejected by construction
@@ -89,14 +107,9 @@ class GeneralizedConstraint:
     def term_masks(self, ground: GroundSet) -> tuple[tuple[int, int], ...]:
         return tuple((ground.mask_of(si), ri) for si, ri in self.terms)
 
-    def mask_member(self, mask: int, ground: GroundSet) -> bool:
-        return all(
-            popcount(mask & tm) % self.modulus == ri for tm, ri in self.term_masks(ground)
-        )
-
 
 @dataclass(frozen=True)
-class TCutConstraint:
+class TCutConstraint(_Congruences):
     """Feasible iff |S & terminals| is congruent to ``residue`` mod ``modulus``.
 
     Equivalent to a one-term generalized constraint; kept as its own kind so
@@ -115,11 +128,8 @@ class TCutConstraint:
     def member(self, subset: Iterable[str]) -> bool:
         return len(frozenset(subset) & self.terminals) % self.modulus == self.residue
 
-    def mask_member(self, mask: int, ground: GroundSet) -> bool:
-        return popcount(mask & ground.mask_of(self.terminals)) % self.modulus == self.residue
-
-    def as_generalized(self) -> GeneralizedConstraint:
-        return GeneralizedConstraint(self.modulus, ((self.terminals, self.residue),))
+    def term_masks(self, ground: GroundSet) -> tuple[tuple[int, int], ...]:
+        return ((ground.mask_of(self.terminals), self.residue),)
 
 
 @dataclass(frozen=True)
@@ -141,22 +151,18 @@ Constraint = CongruencyConstraint | GeneralizedConstraint | TCutConstraint | Mem
 def default_depth(constraint: Constraint) -> int:
     """Enumeration depth sufficient for exactness at prime-power moduli.
 
-    A single congruence needs depth m - 1; k simultaneous congruences need
-    k * (m - 1).  A modulus of 1 never excludes anything, hence depth 0.
-    Membership oracles carry no structure to derive a depth from.
+    k simultaneous congruences need depth k * (m - 1).  A modulus of 1
+    never excludes anything, hence depth 0.  Membership oracles carry no
+    structure to derive a depth from.
     """
-    if isinstance(constraint, CongruencyConstraint):
-        return constraint.modulus - 1
-    if isinstance(constraint, TCutConstraint):
-        return constraint.modulus - 1
-    if isinstance(constraint, GeneralizedConstraint):
+    if isinstance(constraint, _Congruences):
         return constraint.k * (constraint.modulus - 1)
     raise InputError("no default depth for an opaque membership oracle; pass one explicitly")
 
 
 def guarantees_exactness(constraint: Constraint, depth: int) -> bool:
     """Whether the pair enumeration at ``depth`` is certified exact."""
-    if isinstance(constraint, (CongruencyConstraint, TCutConstraint, GeneralizedConstraint)):
+    if isinstance(constraint, _Congruences):
         return is_prime_power(constraint.modulus) is not None and depth >= default_depth(
             constraint
         )

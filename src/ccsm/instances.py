@@ -21,6 +21,7 @@ from .constraints import (
 from .errors import InputError
 from .ground import GroundSet
 from .lattice import RingFamily
+from .limits import require_exhaustible
 from .oracles import (
     Coverage,
     CutDirected,
@@ -82,6 +83,7 @@ def _parse_function(payload: dict, ground: GroundSet) -> SubmodularOracle:
         entries = payload["values"]
         if not isinstance(entries, list):
             raise InputError('"values" must be a list of [labels, value] pairs')
+        require_exhaustible(ground.n, "an explicit table")
         table = [None] * (1 << ground.n)
         for entry in entries:
             try:
@@ -162,9 +164,9 @@ def instance_from_dict(payload: dict) -> Instance:
         constraint = parse_constraint(payload.get("constraint"))
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed instance: {exc}") from None
-    if isinstance(constraint, (GeneralizedConstraint, TCutConstraint)):
+    if constraint is not None:
         # Fail fast on labels outside the ground set.
-        constraint.mask_member(0, ground)
+        constraint.term_masks(ground)
     return Instance(oracle, ring, constraint)
 
 

@@ -281,57 +281,35 @@ class SubmodularityReport:
     """Outcome of a submodularity check."""
 
     ok: bool
-    mode: str
     checks: int
     witness: tuple[frozenset[str], frozenset[str]] | None = None
 
 
-def check_submodular(
-    oracle: SubmodularOracle, mode: str = "exhaustive", trials: int = 1000, seed: int = 0
-) -> SubmodularityReport:
-    """Verify f(A) + f(B) >= f(A | B) + f(A & B), exactly or by sampling.
+def check_submodular(oracle: SubmodularOracle) -> SubmodularityReport:
+    """Verify f(A) + f(B) >= f(A | B) + f(A & B) exactly.
 
-    The exhaustive mode runs the local exchange characterization: for every
-    set S and distinct e, f outside S it checks
-    ``f(S+e) + f(S+f) >= f(S+e+f) + f(S)``, which is equivalent to
-    submodularity and needs n**2 * 2**n table lookups.  For each pair
-    e < f the four sets are four strided views of the table.  Bounded by
-    the exhaustive cap.  The first violated exchange, by (e, f) and then
-    by S, is reported as the witness pair (S+e, S+f).
+    Runs the local exchange characterization: for every set S and distinct
+    e, f outside S it checks ``f(S+e) + f(S+f) >= f(S+e+f) + f(S)``, which
+    is equivalent to submodularity and needs n**2 * 2**n table lookups.
+    For each pair e < f the four sets are four strided views of the table.
+    Bounded by the exhaustive cap.  The first violated exchange, by (e, f)
+    and then by S, is reported as the witness pair (S+e, S+f).
     """
     n = oracle.ground.n
-    if mode == "exhaustive":
-        require_exhaustible(n, "an exhaustive submodularity check")
-        table = oracle.value_table()
-        checks = 0
-        for e in range(n):
-            for f_ in range(e + 1, n):
-                be, bf = 1 << e, 1 << f_
-                # Axes (bits above f, bit f, bits between, bit e, bits below e).
-                shape = (1 << (n - 1 - f_), 2, 1 << (f_ - e - 1), 2, 1 << e)
-                v = table.reshape(shape)
-                bad = v[:, 0, :, 1] + v[:, 1, :, 0] < v[:, 1, :, 1] + v[:, 0, :, 0]
-                checks += bad.size
-                if bad.any():
-                    hi, mid, lo = np.unravel_index(int(bad.argmax()), bad.shape)
-                    base = (int(hi) << (f_ + 1)) | (int(mid) << (e + 1)) | int(lo)
-                    wit = (
-                        oracle.ground.set_of(base | be),
-                        oracle.ground.set_of(base | bf),
-                    )
-                    return SubmodularityReport(False, mode, checks, wit)
-        return SubmodularityReport(True, mode, checks)
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        full = oracle.ground.full_mask
-        for t in range(trials):
-            a = int(rng.integers(0, full + 1))
-            b = int(rng.integers(0, full + 1))
-            fa, fb = oracle.eval_mask(a), oracle.eval_mask(b)
-            fu, fi = oracle.eval_mask(a | b), oracle.eval_mask(a & b)
-            if fa + fb < fu + fi:
-                return SubmodularityReport(
-                    False, mode, t + 1, (oracle.ground.set_of(a), oracle.ground.set_of(b))
-                )
-        return SubmodularityReport(True, mode, trials)
-    raise InputError(f"unknown submodularity check mode {mode!r}")
+    require_exhaustible(n, "an exhaustive submodularity check")
+    table = oracle.value_table()
+    checks = 0
+    for e in range(n):
+        for f_ in range(e + 1, n):
+            be, bf = 1 << e, 1 << f_
+            # Axes (bits above f, bit f, bits between, bit e, bits below e).
+            shape = (1 << (n - 1 - f_), 2, 1 << (f_ - e - 1), 2, 1 << e)
+            v = table.reshape(shape)
+            bad = v[:, 0, :, 1] + v[:, 1, :, 0] < v[:, 1, :, 1] + v[:, 0, :, 0]
+            checks += bad.size
+            if bad.any():
+                hi, mid, lo = np.unravel_index(int(bad.argmax()), bad.shape)
+                base = (int(hi) << (f_ + 1)) | (int(mid) << (e + 1)) | int(lo)
+                wit = (oracle.ground.set_of(base | be), oracle.ground.set_of(base | bf))
+                return SubmodularityReport(False, checks, wit)
+    return SubmodularityReport(True, checks)

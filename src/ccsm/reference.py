@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (
-    CongruencyConstraint,
-    Constraint,
-    GeneralizedConstraint,
-    MembershipOracle,
-    TCutConstraint,
-)
+from .constraints import Constraint, MembershipOracle
 from .ground import popcount_array, reversed_bits_array
 from .lattice import RingFamily
 from .limits import require_exhaustible
@@ -41,23 +35,15 @@ class OracleResult:
 def _constraint_table(constraint: Constraint | None, ring: RingFamily) -> np.ndarray:
     n = ring.ground.n
     masks = np.arange(1 << n, dtype=np.int64)
-    if constraint is None:
-        return np.ones(1 << n, dtype=bool)
-    if isinstance(constraint, CongruencyConstraint):
-        return popcount_array(masks) % constraint.modulus == constraint.residue
-    if isinstance(constraint, TCutConstraint):
-        tm = ring.ground.mask_of(constraint.terminals)
-        return popcount_array(masks & tm) % constraint.modulus == constraint.residue
-    if isinstance(constraint, GeneralizedConstraint):
-        ok = np.ones(1 << n, dtype=bool)
-        for tm, ri in constraint.term_masks(ring.ground):
-            ok &= popcount_array(masks & tm) % constraint.modulus == ri
-        return ok
     if isinstance(constraint, MembershipOracle):
         return np.array(
             [constraint.mask_member(int(m), ring.ground) for m in masks], dtype=bool
         )
-    raise AssertionError(constraint)
+    ok = np.ones(1 << n, dtype=bool)
+    if constraint is not None:
+        for tm, ri in constraint.term_masks(ring.ground):
+            ok &= popcount_array(masks & tm) % constraint.modulus == ri
+    return ok
 
 
 def exhaustive_solve(
@@ -67,11 +53,16 @@ def exhaustive_solve(
 ) -> OracleResult:
     """Ground truth by full enumeration; n is capped at 24.
 
-    Minimal optima are found with a subset-sum style sweep: a set is
-    inclusion-minimal optimal iff it is optimal and no single element can
-    be dropped while staying inside the (downward-explored) optimal
-    region.  The sweep marks every mask having an optimal feasible subset,
-    then keeps optimal masks none of whose one-element-removals are marked.
+    The feasible sets are the ring members that pass the constraint's
+    dense table: one popcount congruence per term, or the opaque predicate
+    on every mask.  Minimal optima are found with a subset-sum style
+    sweep: a set is inclusion-minimal optimal iff it is optimal and no
+    single element can be dropped while staying inside the
+    (downward-explored) optimal region.  The sweep marks every mask having
+    an optimal feasible subset, then keeps optimal masks none of whose
+    one-element-removals are marked; each step updates the bit-e-set half
+    of a strided (above e, bit e, below e) view from its bit-e-clear half.
+    Minimal optima come back in (cardinality, lex) order.
     """
     ground = oracle.ground
     n = ground.n
@@ -87,16 +78,14 @@ def exhaustive_solve(
     optimal = feasible & (values == best)
     # has_opt_subset[X] == some optimal feasible subset of X exists.
     has_opt_subset = optimal.copy()
-    masks = np.arange(1 << n, dtype=np.int64)
     for e in range(n):
-        upper = np.nonzero(masks & (1 << e))[0]
-        has_opt_subset[upper] |= has_opt_subset[upper ^ (1 << e)]
+        v = has_opt_subset.reshape(-1, 2, 1 << e)
+        v[:, 1] |= v[:, 0]
     # X is dominated when dropping some element of X still leaves an
     # optimal subset underneath; minimal optima are the undominated ones.
     dominated = np.zeros(1 << n, dtype=bool)
     for e in range(n):
-        upper = np.nonzero(masks & (1 << e))[0]
-        dominated[upper] |= has_opt_subset[upper ^ (1 << e)]
+        dominated.reshape(-1, 2, 1 << e)[:, 1] |= has_opt_subset.reshape(-1, 2, 1 << e)[:, 0]
     arr = np.nonzero(optimal & ~dominated)[0].astype(np.int64)
     order = np.lexsort((-reversed_bits_array(arr, n), popcount_array(arr)))
     sets = tuple(ground.set_of(int(arr[i])) for i in order)

@@ -435,8 +435,13 @@ def test_inputs_past_the_size_cap_exit_two(capsys, tmp_path):
     graph.write_text(
         json.dumps({"vertices": labels, "edges": [[u, v, 1] for u, v in zip(labels, labels[1:])]})
     )
+    table = tmp_path / "table25.json"
+    table.write_text(
+        json.dumps({"ground_set": labels, "function": {"type": "explicit_table", "values": []}})
+    )
     for argv in (
         ("solve", "--instance", str(instance)),
+        ("solve", "--instance", str(table)),
         ("solve-cut", "--graph", str(graph), "--mode", "congruency", "--m", "2", "--r", "1"),
     ):
         rc = main(list(argv))

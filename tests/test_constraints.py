@@ -20,7 +20,7 @@ from ccsm.families import random_oracle, random_ring
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
 from ccsm.oracles import Modular, SubmodularOracle
-from ccsm.reference import exhaustive_solve
+from ccsm.reference import _constraint_table, exhaustive_solve
 from helpers import powerset
 
 ABCD = GroundSet(("a", "b", "c", "d"))
@@ -94,9 +94,47 @@ def test_generalized_membership_frozen_example():
 
 def test_tcut_equals_its_generalized_form():
     t = TCutConstraint(frozenset({"a", "c"}), 3, 1)
-    g = t.as_generalized()
+    g = GeneralizedConstraint(3, ((frozenset({"a", "c"}), 1),))
     for s in powerset(ABCD.elements):
         assert t.member(s) == g.member(s)
+    assert t.term_masks(ABCD) == g.term_masks(ABCD) == ((0b0101, 1),)
+
+
+def _kinds_on(ground, rng):
+    """One constraint of each kind over ``ground``, with k terms for the depth rule."""
+    elems = ground.elements
+    m = int(rng.integers(1, 5))
+
+    def some_set():
+        return frozenset(e for e in elems if rng.random() < 0.5)
+
+    k = int(rng.integers(1, 4))
+    terms = tuple((some_set(), int(rng.integers(0, m))) for _ in range(k))
+    pick = some_set()
+    return (
+        (CongruencyConstraint(m, int(rng.integers(0, m))), 1),
+        (TCutConstraint(some_set(), m, int(rng.integers(0, m))), 1),
+        (GeneralizedConstraint(m, terms), k),
+        (MembershipOracle(lambda s: len(s & pick) % 2 == 0), None),
+    )
+
+
+def test_member_mask_member_and_reference_table_agree_on_every_mask():
+    rng = np.random.default_rng(13)
+    for n in range(7):
+        ground = GroundSet(tuple(f"x{i}" for i in range(n)))
+        ring = RingFamily.full(ground)
+        for _ in range(4):
+            for c, k in _kinds_on(ground, rng):
+                table = _constraint_table(c, ring)
+                assert table.shape == (1 << n,)
+                for mask in range(1 << n):
+                    expected = c.member(ground.labels_of(mask))
+                    assert c.mask_member(mask, ground) == expected
+                    assert bool(table[mask]) == expected
+                if k is not None:
+                    assert len(c.term_masks(ground)) == k
+                    assert default_depth(c) == k * (c.modulus - 1)
 
 
 def test_default_depths():

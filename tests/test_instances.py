@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ccsm.constraints import (
     GeneralizedConstraint,
     TCutConstraint,
 )
-from ccsm.errors import InputError
+from ccsm.errors import InputError, UnsupportedSizeError
 from ccsm.families import random_table
 from ccsm.instances import (
     Instance,
@@ -104,19 +105,33 @@ def test_non_submodular_table_is_rejected_with_witness():
 
 
 def test_non_submodular_table_above_sixteen_elements_is_rejected():
-    # One cell lowered by 50: sampled pairs can miss it, the exact check cannot.
+    # One cell lowered by 50: a sampled check can miss it, the exact one cannot.
     rng = np.random.default_rng(2)
     oracle = random_table(rng, 17)
     values = list(oracle.spec.values)
     values[int(rng.integers(1, 1 << 17))] -= 50
     bad = SubmodularOracle(oracle.ground, ExplicitTable(tuple(values)))
     report = check_submodular(bad)
-    assert not report.ok and report.mode == "exhaustive"
+    assert not report.ok
     a, b = report.witness
     assert bad.eval(a) + bad.eval(b) < bad.eval(a | b) + bad.eval(a & b)
     payload = instance_to_dict(Instance(bad, RingFamily.full(bad.ground), None))
     with pytest.raises(InputError, match="not submodular: witness"):
         instance_from_dict(payload)
+
+
+def test_explicit_table_past_the_cap_is_refused_before_allocating():
+    # 25 labels and no values: refused by the cap, not after a 2**25-slot table.
+    payload = _base({"type": "explicit_table", "values": []})
+    payload["ground_set"] = [f"v{i}" for i in range(25)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedSizeError, match="exceeds the cap 24"):
+            instance_from_dict(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_table_holes_and_duplicates_are_rejected():

@@ -289,7 +289,7 @@ def test_values_beyond_int64_headroom_are_refused():
 def test_check_submodular_accepts_all_builtin_kinds():
     for oracle, _ in _random_oracles(seed=5):
         report = check_submodular(oracle)
-        assert report.ok and report.mode == "exhaustive"
+        assert report.ok
 
 
 def test_check_submodular_flags_a_supermodular_table():
@@ -301,11 +301,3 @@ def test_check_submodular_flags_a_supermodular_table():
     assert report.witness is not None
     a, b = report.witness
     assert a != b and len(a) == len(b)
-
-
-def test_check_submodular_sampled_mode_runs():
-    oracle = SubmodularOracle(ABC, Modular({"a": 1}))
-    report = check_submodular(oracle, mode="sampled", trials=64, seed=1)
-    assert report.ok and report.mode == "sampled" and report.checks == 64
-    with pytest.raises(InputError):
-        check_submodular(oracle, mode="nonsense")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,24 @@ def test_infeasible_combination_returns_none():
     assert result.infeasible
     assert result.optimum is None
     assert result.all_minimal_optima == ()
+
+
+def test_zero_function_ties_every_feasible_set():
+    # f = 0 makes every feasible set optimal; the minimal ones are exactly
+    # the r-sets, reported in (cardinality, lex) order.
+    for n in range(7):
+        g = GroundSet(tuple(f"v{i}" for i in range(n)))
+        oracle = SubmodularOracle(g, Modular({}))
+        for m in range(1, 5):
+            for r in range(m):
+                result = exhaustive_solve(oracle, None, CongruencyConstraint(m, r))
+                if r > n:
+                    assert result.infeasible and result.all_minimal_optima == ()
+                    continue
+                assert result.optimum == 0
+                assert result.all_minimal_optima == tuple(
+                    frozenset(c) for c in combinations(g.elements, r)
+                )
 
 
 def test_size_cap_is_enforced():
