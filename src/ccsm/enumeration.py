@@ -13,26 +13,36 @@ minimizer on every non-empty sublattice and it is the inclusion-minimal
 minimizer of f.  ``_node_table`` is the one place that computes them,
 for every pair, in ``_pinned_minimizers``:
 
-- slice: for a fixed B, the sets that avoid B form a 2**(n - |B|)
-  sub-cube of the table, copied out with B's axes at 0;
-- sweep: one in-place superset-min pass per remaining axis leaves in each
-  cell the minimum of g over its supersets, so the cell of A holds the
-  minimum over the interval [A, N - B];
-- walk: starting at A, add each free element whose cell still holds that
-  minimum; the walk ends on the minimizer, then B's bits go back in.
+- sweep: one in-place superset-min pass per bit position leaves in each
+  cell the minimum of g over its supersets.  For a fixed B the sets that
+  avoid B form a 2**(n - |B|) sub-cube, kept with B's bits squeezed out,
+  and once it is swept the cell of A holds the minimum over the interval
+  [A, N - B];
+- share: one depth-first pass over the positions 0 ... n - 1 sweeps the
+  sub-cubes of every B.  Before a table sweeps position p, its 0-half at
+  p is copied out as the table of B + p.  Sweeps of different positions
+  commute and the 0-half at p is untouched by sweeps of other positions,
+  so the child starts from a table already swept below p and sweeps only
+  the positions above.  Every B thus shares the sweeps of its prefix;
+- walk: starting at A, add each free element whose cell still holds the
+  interval minimum; the walk ends on the minimizer, then B's bits go
+  back in.
 
-The sweeps cost sum over j <= d of C(n, j) (n - j) 2**(n - j) cell
-updates, and the walks n - |B| steps per pair.  Slices with the same
-|B| = j are stacked 2**j to a chunk, so apart from arrays with one
-entry per pair, the working memory beyond the table is one chunk of
-2**n cells.  The README gives measured timings.
+Each table of level j = |B| sweeps the positions above max(B), so the
+sweeps cost sum over j <= d of C(n, j + 1) 2**(n - j) cell updates
+(n + C(n, 2) / 2 full passes at d = 1), and the walks n - |B| steps per
+pair.  g itself is the level-0 table, swept in place; finished tables of
+level j are stacked 2**j to a chunk in one buffer of 2**n cells and
+walked together, so apart from arrays with one entry per pair, the
+working memory beyond g is d buffers of 2**n cells.  The README gives
+measured timings.
 
-The node table lists the pairs in the order they are swept, (|B|, B,
-|A|, A): once B's bits are squeezed out of its slice, every B with
-|B| = j leaves the same n - j free bits, so one list of A sides, the
-subsets of at most d of those bits, serves them all.  Each row carries
-its minimizer and the minimizer's g, and ``_select`` orders the distinct
-sets by (g, lex).  As 0 <= |S| <= n < n + 1, that is (f, |S|, lex) order.
+Within a chunk every B with |B| = j leaves the same n - j free bits once
+they are squeezed, so one list of A sides, the subsets of at most d of
+those bits, serves them all.  Each row carries its minimizer and the
+minimizer's g, and ``_select`` orders the distinct sets by (g, lex),
+whatever the row order.  As 0 <= |S| <= n < n + 1, that is (f, |S|, lex)
+order.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ import numpy as np
 
 from .constraints import Constraint, default_depth, guarantees_exactness
 from .errors import InputError
-from .ground import GroundSet, iter_bits, popcount_array, reversed_bits_array
+from .ground import GroundSet, reversed_bits_array
 from .lattice import RingFamily
 from .limits import _SENTINEL, require_exhaustible
 from .oracles import SubmodularOracle
@@ -80,8 +90,8 @@ def candidate_pairs(n: int, d: int) -> Iterator[tuple[tuple[int, ...], tuple[int
 
 @dataclass
 class _NodeTable:
-    """One row per pair, in (|B|, B, |A|, A) order: the masks of A and B,
-    the minimal minimizer and its scaled value g.
+    """One row per pair, in the order the sweep finishes its B sides: the
+    masks of A and B, the minimal minimizer and its scaled value g.
 
     Empty pairs hold ``setmask`` 0 and ``g`` equal to ``_SENTINEL``.
     """
@@ -98,11 +108,10 @@ class _NodeTable:
 
 def _scaled_table(oracle: SubmodularOracle, ring: RingFamily) -> np.ndarray:
     n = oracle.ground.n
-    values = oracle.value_table()
-    feasible = ring.feasibility_table()
-    masks = np.arange(1 << n, dtype=np.int64)
-    scaled = (n + 1) * values + popcount_array(masks)
-    return np.where(feasible, scaled, _SENTINEL)
+    scaled = oracle.value_table() * (n + 1)
+    scaled += np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+    scaled[~ring.feasibility_table()] = _SENTINEL
+    return scaled
 
 
 def _subset_masks(n: int, sizes: range) -> np.ndarray:
@@ -127,8 +136,18 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
     """The node table of every pair up to depth ``d``: per pair an argmin
     of ``g`` over the interval [A, N - B], or an empty row where the
     interval holds no member (no cell below ``_SENTINEL``).  Found by the
-    slice, sweep and walk of the module docstring, with rows in the
-    (|B|, B, |A|, A) order given there.
+    depth-first sweep and the walk of the module docstring; ``g`` itself
+    is swept in place and holds superset minima afterwards.
+
+    The table of B + p is copied from its parent's 0-half at p before the
+    parent sweeps p, so it starts swept at every position below p and
+    sweeps only those above: sum over j <= d of C(n, j + 1) 2**(n - j)
+    cell updates in all.  Besides ``g``, the sweep holds one chunk of
+    2**n cells per level 1 ... d.
+
+    Rows come out one chunk at a time, in the order the chunks fill: the
+    B sides of a chunk in the order their sweeps finish, and within each
+    B its A sides in (|A|, A) order.
 
     The walk ends on a cell x that holds the interval minimum, while each
     ``x | t`` is a superset of the cell where t was rejected and so holds
@@ -136,44 +155,73 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
     itself is the minimum: the walk finds an argmin on any table, and on
     submodular input the unique one, the inclusion-minimal minimizer.
     """
-    cube = g.reshape((2,) * n)
-    buf = np.empty(1 << n, dtype=np.int64)
+    d = min(n, d)
     table = _NodeTable(*(np.empty(pair_count(n, d), dtype=np.int64) for _ in range(4)))
+    # Level j stacks up to 2**j tables of 2**(n - j) cells, one per B with
+    # |B| = j, in the order of ``bsides[j]``; the slot after them holds the
+    # level's table in progress.  Level 0 is g.
+    chunks = [g] + [np.empty(1 << n, dtype=np.int64) for _ in range(d)]
+    starts = [_subset_masks(n - j, range(min(n - j, d) + 1)) for j in range(d + 1)]
+    bsides: list[list[int]] = [[] for _ in range(d + 1)]
     done = 0
-    for j in range(min(n, d) + 1):
+    # Each entry is a table still being swept: its level j = |B|, the next
+    # bit position p to sweep and B.  Every element of B lies below p, so
+    # p sits at bit p - j of the table, whose B bits are squeezed out.
+    stack = [(0, 0, 0)]
+    while stack:
+        j, p, b = stack.pop()
         free = n - j
-        starts = _subset_masks(free, range(min(free, d) + 1))
-        bsides = _subset_masks(n, range(j, j + 1))
-        for lo in range(0, len(bsides), 1 << j):
-            chunk = bsides[lo : lo + (1 << j)]
-            slices = buf[: len(chunk) << free].reshape((len(chunk),) + (2,) * free)
-            for row, b in enumerate(chunk.tolist()):
-                avoid_b = [slice(None)] * n
-                for i in iter_bits(b):
-                    avoid_b[n - 1 - i] = 0  # axis k of the cube is element n - 1 - k
-                slices[row] = cube[tuple(avoid_b)]
-            sub = slices.reshape(len(chunk), -1)
-            for t in range(free):
-                v = sub.reshape(len(chunk), -1, 2, 1 << t)
-                np.minimum(v[:, :, 0], v[:, :, 1], out=v[:, :, 0])
-            # The walk runs on flat cell indices: the row number above the
-            # free-bit mask of A, from the one list ``starts`` of this |B|.
-            cells = sub.reshape(-1)
-            x = ((np.arange(len(chunk), dtype=np.int64) << free)[:, None] | starts).reshape(-1)
-            target = cells[x]
-            for t in range(free):
-                step = x | (1 << t)
-                x = np.where(cells[step] == target, step, x)
-            rows = slice(done, done + len(x))
-            drop = np.repeat(chunk, len(starts))
-            table.amask[rows] = _restore_bits(np.tile(starts, len(chunk)), drop)
-            table.bmask[rows] = drop
-            table.setmask[rows] = np.where(
-                target != _SENTINEL, _restore_bits(x & ((1 << free) - 1), drop), 0
-            )
-            table.g[rows] = target
-            done += len(x)
+        if p == n:
+            bsides[j].append(b)
+            if len(bsides[j]) == 1 << j:
+                done = _walk_chunk(table, done, chunks[j], free, starts[j], bsides[j])
+            continue
+        k = len(bsides[j])
+        halves = chunks[j][k << free : (k + 1) << free].reshape(-1, 2, 1 << (p - j))
+        stack.append((j, p + 1, b))
+        if j < d:
+            # B + p avoids p: its table is this table's 0-half at p, which
+            # is already swept at every position below p.
+            lo = len(bsides[j + 1]) << (free - 1)
+            child = chunks[j + 1][lo : lo + (1 << (free - 1))]
+            child.reshape(-1, 1 << (p - j))[:] = halves[:, 0]
+            stack.append((j + 1, p + 1, b | 1 << p))
+        np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 0])
+    for j in range(d + 1):
+        if bsides[j]:
+            done = _walk_chunk(table, done, chunks[j], n - j, starts[j], bsides[j])
     return table
+
+
+def _walk_chunk(
+    table: _NodeTable,
+    done: int,
+    chunk: np.ndarray,
+    free: int,
+    starts: np.ndarray,
+    bsides: list[int],
+) -> int:
+    """Walk every A side of the swept tables stacked in ``chunk``, one per
+    B in ``bsides``; write their rows from row ``done`` on, empty
+    ``bsides`` and return the next free row."""
+    # The walk runs on flat cell indices: the table's slot above the
+    # free-bit mask of A, from the one list ``starts`` of this |B|.
+    cells = chunk[: len(bsides) << free]
+    x = ((np.arange(len(bsides), dtype=np.int64) << free)[:, None] | starts).reshape(-1)
+    target = cells[x]
+    for t in range(free):
+        step = x | (1 << t)
+        x = np.where(cells[step] == target, step, x)
+    rows = slice(done, done + len(x))
+    drop = np.repeat(np.array(bsides, dtype=np.int64), len(starts))
+    table.amask[rows] = _restore_bits(np.tile(starts, len(bsides)), drop)
+    table.bmask[rows] = drop
+    table.setmask[rows] = np.where(
+        target != _SENTINEL, _restore_bits(x & ((1 << free) - 1), drop), 0
+    )
+    table.g[rows] = target
+    bsides.clear()
+    return done + len(x)
 
 
 def _node_table(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeTable:

@@ -114,14 +114,28 @@ class RingFamily:
     # -- dense views ----------------------------------------------------
 
     def feasibility_table(self) -> np.ndarray:
-        """Boolean table over all 2**n masks marking members of the family."""
+        """Boolean table over all 2**n masks marking members of the family.
+
+        Each forced element and each arc rules out one sub-cube of the
+        table, written as a strided view with its one or two bits fixed.
+        """
         n = self.ground.n
         require_exhaustible(n, "materializing a lattice feasibility table")
-        masks = np.arange(1 << n, dtype=np.int64)
-        ok = (masks & self.forced_in) == self.forced_in
-        ok &= (masks & self.forced_out) == 0
+        ok = np.ones(1 << n, dtype=bool)
+        cube = ok.reshape((2,) * n)
+
+        def rule_out(*fixed: tuple[int, int]) -> None:
+            view = [slice(None)] * n
+            for i, bit in fixed:
+                view[n - 1 - i] = bit  # axis k of the cube is element n - 1 - k
+            cube[tuple(view)] = False
+
+        for i in iter_bits(self.forced_in):
+            rule_out((i, 0))
+        for i in iter_bits(self.forced_out):
+            rule_out((i, 1))
         for u, v in self.implications:
-            ok &= ((masks >> u) & ~(masks >> v) & 1) == 0
+            rule_out((u, 1), (v, 0))
         return ok
 
     def members(self) -> list[frozenset[str]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ccsm.constraints import (
     GeneralizedConstraint,
     MembershipOracle,
 )
+from ccsm.cuts import CutProblem, solve_cut
 from ccsm.enumeration import (
     _pinned_minimizers,
     _scaled_table,
@@ -129,7 +132,7 @@ def test_node_table_matches_brute_force(cases):
         arcs = [(labels[u], labels[v]) for u, v in ring.implications]
         value = {s: oracle.eval(s) for s in powerset(labels)}
         scaled = _scaled_table(oracle, ring)
-        table = _pinned_minimizers(scaled, g.n, d)
+        table = _pinned_minimizers(scaled.copy(), g.n, d)
         rows = list(zip(table.amask.tolist(), table.bmask.tolist()))
         pairs = [
             (sum(1 << i for i in a), sum(1 << i for i in b)) for a, b in candidate_pairs(g.n, d)
@@ -160,15 +163,16 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     """On tables with ties and holes, where the minimizer need not be
     unique, every non-empty entry still lies in [A, N - B] and attains the
     minimum of g there; a pair is empty exactly when its interval is all
-    holes."""
+    holes.  Depths run past n, so every level of the sweep is reached and
+    chunks are walked both full and part-filled."""
     rng = np.random.default_rng(35)
     for _ in range(40):
         n = int(rng.integers(0, 9))
-        d = int(rng.integers(0, 4))
+        d = int(rng.integers(0, n + 2))
         g = rng.integers(0, 4, size=1 << n).astype(np.int64)
         g[rng.random(1 << n) < 0.3] = _SENTINEL
         masks = np.arange(1 << n)
-        table = _pinned_minimizers(g, n, d)
+        table = _pinned_minimizers(g.copy(), n, d)
         for a, b, s, ne in zip(
             table.amask.tolist(), table.bmask.tolist(), table.setmask.tolist(), table.nonempty
         ):
@@ -179,6 +183,27 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
                 continue
             assert s & a == a and s & b == 0
             assert g[s] == low
+
+
+def test_a_solve_leaves_no_garbage_cycle():
+    """Solves free their tables by reference counting: a reference cycle
+    would keep each solve's 2**n buffers alive until the cyclic GC ran."""
+    instance = random_instance(np.random.default_rng(48), "cut", 8, 3)
+    problem = CutProblem(
+        instance.oracle.ground.elements,
+        instance.oracle.spec.edges,
+        False,
+        CongruencyConstraint(2, 1),
+        proper=True,
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        enum_solve(instance.oracle, instance.ring, instance.constraint)
+        solve_cut(problem)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_depth_family_m3_frozen_solution():

@@ -107,6 +107,21 @@ def test_feasibility_table_and_is_empty_agree_with_members(ring):
         assert table[g.mask_of(s)]
 
 
+def test_feasibility_table_matches_member_mask_on_larger_rings():
+    """Cell by cell against ``member_mask``, at sizes past the strategy's."""
+    rng = np.random.default_rng(47)
+    for n in range(7, 13):
+        ground = GroundSet(tuple(f"v{i}" for i in range(n)))
+        for _ in range(3):
+            arcs = rng.integers(0, n, size=(int(rng.integers(0, n)), 2)).tolist()
+            forced_in, forced_out = (
+                sum(1 << i for i in range(n) if rng.random() < 0.15) for _ in range(2)
+            )
+            ring = RingFamily(ground, forced_in, forced_out & ~forced_in, arcs)
+            table = ring.feasibility_table()
+            assert table.tolist() == [ring.member_mask(mask) for mask in range(1 << n)]
+
+
 def test_members_come_in_cardinality_then_label_order():
     ring = RingFamily.from_labels(ABC, implications=[("a", "b")])
     members = ring.members()
