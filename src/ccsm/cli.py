@@ -286,6 +286,9 @@ def _cmd_bench(args) -> int:
     rng = _seeded_rng(args.seed)
     rows = []
     all_agree = True
+    # Trials whose guaranteed solve disagrees with the reference.  A solve
+    # without the guarantee (m not a prime power) may legitimately differ.
+    wrong = []
     for trial in range(args.trials):
         if args.family == "sec6":
             instance = tight_depth_instance(args.m)
@@ -299,6 +302,8 @@ def _cmd_bench(args) -> int:
         truth = exhaustive_solve(instance.oracle, instance.ring, instance.constraint)
         agree = solution.value == truth.optimum
         all_agree &= agree
+        if solution.guaranteed and not agree:
+            wrong.append(trial)
         rows.append(
             {
                 "trial": trial,
@@ -320,6 +325,9 @@ def _cmd_bench(args) -> int:
             "all_agree": all_agree,
         }
     )
+    if wrong:
+        _note(f"internal inconsistency: trials {wrong} disagree with the reference")
+        return EXIT_INCONSISTENT
     return EXIT_OK
 
 

@@ -13,6 +13,14 @@ minimizer on every non-empty sublattice and it is the inclusion-minimal
 minimizer of f.  ``_node_table`` is the one place that computes them,
 for every pair, in ``_pinned_minimizers``:
 
+- narrow: the sweeps and walks run on g - base, where base is the least
+  member value, in the first of uint16 / uint32 / uint64 whose top value
+  exceeds the members' span; that top value marks the non-members.  A
+  constant shift, with the holes above every member, keeps every ``<``
+  and ``==`` the sweep and the walk make, so each row is the one the
+  int64 table gives; the rows' g go back to int64 with base added.  The
+  scaled values stay below ``_SENTINEL`` in absolute value, so the span
+  always fits in 64 bits;
 - sweep: one in-place superset-min pass per bit position leaves in each
   cell the minimum of g over its supersets.  For a fixed B the sets that
   avoid B form a 2**(n - |B|) sub-cube, kept with B's bits squeezed out,
@@ -31,11 +39,12 @@ for every pair, in ``_pinned_minimizers``:
 Each table of level j = |B| sweeps the positions above max(B), so the
 sweeps cost sum over j <= d of C(n, j + 1) 2**(n - j) cell updates
 (n + C(n, 2) / 2 full passes at d = 1), and the walks n - |B| steps per
-pair.  g itself is the level-0 table, swept in place; finished tables of
-level j are stacked 2**j to a chunk in one buffer of 2**n cells and
-walked together, so apart from arrays with one entry per pair, the
-working memory beyond g is d buffers of 2**n cells.  The README gives
-measured timings.
+pair.  Finished tables of level j are stacked 2**j to a chunk in one
+buffer of 2**n cells and walked together, so apart from arrays with one
+entry per pair, the working memory beyond g is the narrowed level-0
+table and d buffers of 2**n cells, each cell 2, 4 or 8 bytes.  At 8
+bytes the level-0 table is g itself, shifted and swept in place.  The
+README gives measured timings.
 
 Within a chunk every B with |B| = j leaves the same n - j free bits once
 they are squeezed, so one list of A sides, the subsets of at most d of
@@ -136,14 +145,22 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
     """The node table of every pair up to depth ``d``: per pair an argmin
     of ``g`` over the interval [A, N - B], or an empty row where the
     interval holds no member (no cell below ``_SENTINEL``).  Found by the
-    depth-first sweep and the walk of the module docstring; ``g`` itself
-    is swept in place and holds superset minima afterwards.
+    narrowing, the depth-first sweep and the walk of the module docstring.
+
+    The cells are g - base for members and ``top`` for holes, in the
+    narrowest unsigned width whose maximum ``top`` exceeds the members'
+    span, so ``top`` is above every member: each comparison comes out as
+    on the int64 table, and so does every row.  Up to 32 bits the sweeps
+    run on a narrowed copy and ``g`` is left as it was; at 64 bits ``g``
+    itself is shifted, its holes set to -1 (``top`` as uint64) and swept
+    in place, so that no further 2**n int64 table is made.
 
     The table of B + p is copied from its parent's 0-half at p before the
     parent sweeps p, so it starts swept at every position below p and
     sweeps only those above: sum over j <= d of C(n, j + 1) 2**(n - j)
-    cell updates in all.  Besides ``g``, the sweep holds one chunk of
-    2**n cells per level 1 ... d.
+    cell updates in all.  Besides ``g``, the sweep holds the level-0
+    table and one chunk of 2**n cells per level 1 ... d, of 2, 4 or 8
+    bytes a cell.
 
     Rows come out one chunk at a time, in the order the chunks fill: the
     B sides of a chunk in the order their sweeps finish, and within each
@@ -157,10 +174,22 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
     """
     d = min(n, d)
     table = _NodeTable(*(np.empty(pair_count(n, d), dtype=np.int64) for _ in range(4)))
+    member = g != _SENTINEL
+    base = g.min(initial=_SENTINEL, where=member)
+    span = int(g.max(initial=base, where=member)) - int(base)
+    width = next(t for t in (np.uint16, np.uint32, np.uint64) if np.iinfo(t).max > span)
+    top = np.iinfo(width).max
+    if width is np.uint64:
+        g -= base
+        g[~member] = -1
+        level0 = g.view(np.uint64)
+    else:
+        level0 = np.full(1 << n, top, dtype=width)
+        np.subtract(g, base, out=level0, where=member, casting="unsafe")
     # Level j stacks up to 2**j tables of 2**(n - j) cells, one per B with
     # |B| = j, in the order of ``bsides[j]``; the slot after them holds the
-    # level's table in progress.  Level 0 is g.
-    chunks = [g] + [np.empty(1 << n, dtype=np.int64) for _ in range(d)]
+    # level's table in progress.  Level 0 is the narrowed g.
+    chunks = [level0] + [np.empty(1 << n, dtype=width) for _ in range(d)]
     starts = [_subset_masks(n - j, range(min(n - j, d) + 1)) for j in range(d + 1)]
     bsides: list[list[int]] = [[] for _ in range(d + 1)]
     done = 0
@@ -174,7 +203,7 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
         if p == n:
             bsides[j].append(b)
             if len(bsides[j]) == 1 << j:
-                done = _walk_chunk(table, done, chunks[j], free, starts[j], bsides[j])
+                done = _walk_chunk(table, done, chunks[j], free, starts[j], bsides[j], base, top)
             continue
         k = len(bsides[j])
         halves = chunks[j][k << free : (k + 1) << free].reshape(-1, 2, 1 << (p - j))
@@ -189,7 +218,7 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
         np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 0])
     for j in range(d + 1):
         if bsides[j]:
-            done = _walk_chunk(table, done, chunks[j], n - j, starts[j], bsides[j])
+            done = _walk_chunk(table, done, chunks[j], n - j, starts[j], bsides[j], base, top)
     return table
 
 
@@ -200,10 +229,13 @@ def _walk_chunk(
     free: int,
     starts: np.ndarray,
     bsides: list[int],
+    base: np.int64,
+    top: int,
 ) -> int:
     """Walk every A side of the swept tables stacked in ``chunk``, one per
     B in ``bsides``; write their rows from row ``done`` on, empty
-    ``bsides`` and return the next free row."""
+    ``bsides`` and return the next free row.  Cells hold g - ``base``, or
+    ``top`` for a hole."""
     # The walk runs on flat cell indices: the table's slot above the
     # free-bit mask of A, from the one list ``starts`` of this |B|.
     cells = chunk[: len(bsides) << free]
@@ -216,10 +248,9 @@ def _walk_chunk(
     drop = np.repeat(np.array(bsides, dtype=np.int64), len(starts))
     table.amask[rows] = _restore_bits(np.tile(starts, len(bsides)), drop)
     table.bmask[rows] = drop
-    table.setmask[rows] = np.where(
-        target != _SENTINEL, _restore_bits(x & ((1 << free) - 1), drop), 0
-    )
-    table.g[rows] = target
+    hit = target != top
+    table.setmask[rows] = np.where(hit, _restore_bits(x & ((1 << free) - 1), drop), 0)
+    table.g[rows] = np.where(hit, target.astype(np.int64) + base, _SENTINEL)
     bsides.clear()
     return done + len(x)
 

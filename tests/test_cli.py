@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from ccsm.cli import main
+from ccsm.enumeration import enum_solve
 from ccsm.families import tight_depth_instance
 from ccsm.instances import instance_to_dict
 from ccsm.systems import construct_mm2_system
@@ -369,6 +371,25 @@ def test_bench_families(capsys):
     )
     assert rc == 0
     assert payload["all_agree"] is True
+
+
+@pytest.mark.parametrize("guaranteed, code", [(True, 3), (False, 0)])
+def test_bench_exits_three_when_a_guaranteed_solve_disagrees(
+    capsys, monkeypatch, guaranteed, code
+):
+    def off_by_one(*args):
+        solution = enum_solve(*args)
+        return replace(solution, value=solution.value + 1, guaranteed=guaranteed)
+
+    monkeypatch.setattr("ccsm.cli.enum_solve", off_by_one)
+    rc, payload, err = run(
+        capsys, "bench", "--family", "random-modular", "--m", "2", "--n", "4",
+        "--trials", "2", "--seed", "1",
+    )
+    assert rc == code
+    assert payload["all_agree"] is False
+    assert [row["agree"] for row in payload["rows"]] == [False, False]
+    assert ("internal inconsistency" in err) == guaranteed
 
 
 @pytest.mark.parametrize(

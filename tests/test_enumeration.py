@@ -33,7 +33,14 @@ from ccsm.lattice import RingFamily
 from ccsm.limits import _SENTINEL
 from ccsm.oracles import CutUndirected, Modular, SubmodularOracle
 from ccsm.reference import exhaustive_solve
-from helpers import brute_constrained_min, naive_pairs, naive_ring_member, powerset
+from helpers import (
+    brute_constrained_min,
+    card_lex_key,
+    naive_cut_undirected,
+    naive_pairs,
+    naive_ring_member,
+    powerset,
+)
 
 
 def test_pair_count_frozen_values():
@@ -159,30 +166,60 @@ def test_node_table_matches_brute_force(cases):
             assert all(got <= opt for opt in optima)
 
 
+# (lowest member value, member span): the sweeps run in the narrowest of
+# uint16 / uint32 / uint64 whose top value, which marks the holes, exceeds
+# the span, so spans of 2**16 - 2 / 2**16 - 1 and 2**32 - 2 / 2**32 - 1
+# sit on either side of a width change.
+SPANS = (
+    (0, 3),
+    (0, 2**16 - 2),
+    (0, 2**16 - 1),
+    (0, 2**32 - 2),
+    (0, 2**32 - 1),
+    (1 - _SENTINEL, 2 * _SENTINEL - 2),
+    (70_000, 3),
+    (-1_000, 7),
+)
+
+
+def _any_tables(rng):
+    """Tables with ties and 30 % holes whose members span exactly each of
+    ``SPANS``, for n = 0 ... 8, then all-hole tables."""
+    for low, span in SPANS:
+        values = low + np.array([0, 1, 2, span - 1, span], dtype=np.int64)
+        for n in range(9):
+            g = rng.choice(values, size=1 << n)
+            g[rng.random(1 << n) < 0.3] = _SENTINEL
+            ends = rng.choice(1 << n, size=min(2, 1 << n), replace=False)
+            g[ends] = (low, low + span)[: len(ends)]
+            yield n, g
+    for n in range(5):
+        yield n, np.full(1 << n, _SENTINEL, dtype=np.int64)
+
+
 def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     """On tables with ties and holes, where the minimizer need not be
-    unique, every non-empty entry still lies in [A, N - B] and attains the
-    minimum of g there; a pair is empty exactly when its interval is all
-    holes.  Depths run past n, so every level of the sweep is reached and
-    chunks are walked both full and part-filled."""
+    unique, every non-empty entry lies in [A, N - B] and both its set and
+    its g attain the minimum of g there; a pair is empty, with set 0 and g
+    ``_SENTINEL``, exactly when its interval is all holes.  Depths run
+    past n, so every level of the sweep is reached and chunks are walked
+    both full and part-filled; the spans reach every sweep width."""
     rng = np.random.default_rng(35)
-    for _ in range(40):
-        n = int(rng.integers(0, 9))
+    for n, g in _any_tables(rng):
         d = int(rng.integers(0, n + 2))
-        g = rng.integers(0, 4, size=1 << n).astype(np.int64)
-        g[rng.random(1 << n) < 0.3] = _SENTINEL
-        masks = np.arange(1 << n)
         table = _pinned_minimizers(g.copy(), n, d)
-        for a, b, s, ne in zip(
-            table.amask.tolist(), table.bmask.tolist(), table.setmask.tolist(), table.nonempty
-        ):
-            low = g[((masks & a) == a) & ((masks & b) == 0)].min()
-            assert ne == (low != _SENTINEL)
-            if not ne:
-                assert s == 0
-                continue
-            assert s & a == a and s & b == 0
-            assert g[s] == low
+        a = table.amask[:, None]
+        b = table.bmask[:, None]
+        masks = np.arange(1 << n)
+        inside = ((masks & a) == a) & ((masks & b) == 0)
+        low = np.where(inside, g, _SENTINEL).min(axis=1)
+        ne = table.nonempty
+        assert len(ne) == pair_count(n, d)
+        assert np.array_equal(ne, low != _SENTINEL)
+        assert (table.setmask[~ne] == 0).all() and (table.g[~ne] == _SENTINEL).all()
+        s = table.setmask[ne]
+        assert ((s & a[ne, 0]) == a[ne, 0]).all() and (s & b[ne, 0] == 0).all()
+        assert np.array_equal(g[s], low[ne]) and np.array_equal(table.g[ne], low[ne])
 
 
 def test_a_solve_leaves_no_garbage_cycle():
@@ -316,6 +353,59 @@ def test_enum_matches_exhaustive_on_random_instances():
         elif sol.value is not None:
             assert truth.optimum is not None
             assert sol.value >= truth.optimum
+
+
+@pytest.mark.parametrize(
+    "scale, spans",
+    [(1, (0, 2**16 - 1)), (2**16, (2**16 - 1, 2**32 - 1)), (2**36, (2**32 - 1, 2**62))],
+    ids=["uint16", "uint32", "uint64"],
+)
+def test_solves_match_the_reference_at_every_sweep_width(scale, spans):
+    """Weights scaled so that every scaled table's member span falls in
+    ``spans``, which selects one sweep width: ``enum_solve`` matches the
+    exhaustive reference and a proper cut matches a brute-force scan, in
+    value and in the (cardinality, lex) first optimal set."""
+    rng = np.random.default_rng(49)
+
+    def span(oracle, ring):
+        g = _scaled_table(oracle, ring)
+        g = g[g != _SENTINEL]
+        return g.max() - g.min()
+
+    for _ in range(10):
+        n = int(rng.integers(3, 11))
+        m = int(rng.choice([2, 3, 4, 5]))
+        constraint = CongruencyConstraint(m, int(rng.integers(0, m)))
+        labels = tuple(f"x{i}" for i in range(n))
+        ground = GroundSet(labels)
+        card_lex = card_lex_key(labels)
+        weights = {x: int(rng.integers(-9, 10)) * scale for x in labels}
+        edges = tuple(
+            (labels[i], labels[j], int(rng.integers(1, 10)) * scale)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.5
+        )
+        ring = random_ring(rng, ground, lattice_prob=0.5)
+        cut = SubmodularOracle(ground, CutUndirected(edges))
+        for oracle in (SubmodularOracle(ground, Modular(weights)), cut):
+            assert spans[0] <= span(oracle, ring) < spans[1]
+            sol = enum_solve(oracle, ring, constraint)
+            truth = exhaustive_solve(oracle, ring, constraint)
+            assert sol.guaranteed and sol.value == truth.optimum
+            if sol.best is not None:
+                assert sol.best == min(truth.all_minimal_optima, key=card_lex)
+        assert spans[0] <= span(cut, RingFamily.full(ground)) < spans[1]
+        solution = solve_cut(CutProblem(labels, edges, False, constraint, proper=True))
+        trivial = (frozenset(), frozenset(labels))
+        best, optima = brute_constrained_min(
+            labels,
+            lambda s: naive_cut_undirected(edges, s),
+            lambda s: len(s) % m == constraint.residue and s not in trivial,
+        )
+        assert solution.guaranteed and solution.value == best
+        if best is not None:
+            assert solution.best == min(optima, key=card_lex)
 
 
 def test_enum_matches_exhaustive_on_generalized_instances():
