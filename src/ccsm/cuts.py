@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constraints import CongruencyConstraint, GeneralizedConstraint, default_depth
-from .enumeration import EnumSolution, _node_table, _select, enum_solve, pair_count
+from .enumeration import EnumSolution, _checked_depth, _node_table, _select, enum_solve, pair_count
 from .errors import InputError
-from .ground import GroundSet, popcount_array
+from .ground import GroundSet
+from .instances import json_edges
 from .lattice import RingFamily
 from .oracles import CutDirected, CutUndirected, SubmodularOracle
 
@@ -50,18 +51,25 @@ class CutProblem:
 
 
 def load_graph(payload: dict) -> tuple[tuple[str, ...], tuple[tuple[str, str, int], ...], bool]:
-    """Parse the on-disk graph form {"vertices", "edges", "directed"}."""
+    """Parse the on-disk graph form {"vertices", "edges", "directed"}:
+    a list of labels, [u, v, w] edges with JSON integer weights, and an
+    optional JSON boolean (default false)."""
     if not isinstance(payload, dict):
         raise InputError("graph payload must be an object")
     extra = set(payload) - {"vertices", "edges", "directed"}
     if extra:
         raise InputError(f"unknown graph keys {sorted(extra)}")
     try:
-        vertices = tuple(payload["vertices"])
-        edges = tuple((str(u), str(v), int(w)) for u, v, w in payload["edges"])
+        vertices = payload["vertices"]
+        edges = json_edges(payload["edges"], "an edge")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph payload: {exc}") from None
-    return vertices, edges, bool(payload.get("directed", False))
+    if not isinstance(vertices, list):
+        raise InputError(f'"vertices" must be a list, got {vertices!r}')
+    directed = payload.get("directed", False)
+    if not isinstance(directed, bool):
+        raise InputError(f'"directed" must be true or false, got {directed!r}')
+    return tuple(vertices), edges, directed
 
 
 def _mode_constraint(mode: CutMode):
@@ -88,7 +96,7 @@ def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
     their best answer is the best feasible set collected there.  The
     counters add up the runs: a non-empty table pair (A, B) is used by
     |A| * |B| runs, so ``sfm_calls`` is the sum of |A| * |B| over the
-    non-empty pairs and ``skipped_empty`` is
+    table's rows and ``skipped_empty`` is
     ``n * (n - 1) * pair_count(n, depth) - sfm_calls``.  Otherwise the
     counters are those of one ``enum_solve`` run, which sum to
     ``pair_count(n, depth)``.
@@ -99,16 +107,15 @@ def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
     constraint = _mode_constraint(problem.mode)
     if depth is None:
         depth = default_depth(constraint)
-    if depth < 0:
-        raise InputError(f"depth must be >= 0, got {depth}")
+    depth = _checked_depth(depth)
     ring = RingFamily.full(ground)
     if not problem.proper:
         return enum_solve(oracle, ring, constraint, depth)
 
     n = ground.n
-    table = _node_table(oracle, ring, depth + 1)
-    runs = popcount_array(table.amask) * popcount_array(table.bmask)
-    sfm_calls = int(runs[table.nonempty].sum())
-    keep = table.nonempty & (runs != 0)
+    rows = _node_table(oracle, ring, depth + 1)
+    runs = rows.asize * rows.bsize
+    keep = runs != 0
+    sfm_calls = int(runs.sum())
     pairs = n * (n - 1) * pair_count(n, depth)
-    return _select(ground, table, keep, constraint, depth, sfm_calls, pairs)
+    return _select(ground, rows.setmask[keep], rows.g[keep], constraint, depth, sfm_calls, pairs)

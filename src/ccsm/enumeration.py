@@ -32,30 +32,31 @@ for every pair, in ``_pinned_minimizers``:
   commute and the 0-half at p is untouched by sweeps of other positions,
   so the child starts from a table already swept below p and sweeps only
   the positions above.  Every B thus shares the sweeps of its prefix;
-- walk: starting at A, add each free element whose cell still holds the
-  interval minimum; the walk ends on the minimizer, then B's bits go
-  back in.
+- walk: from each A whose cell is not a hole, add each free element whose
+  cell still holds the interval minimum; the walk ends on the minimizer,
+  then B's bits go back in.
 
 Each table of level j = |B| sweeps the positions above max(B), so the
 sweeps cost sum over j <= d of C(n, j + 1) 2**(n - j) cell updates
 (n + C(n, 2) / 2 full passes at d = 1), and the walks n - |B| steps per
-pair.  Finished tables of level j are stacked 2**j to a chunk in one
-buffer of 2**n cells and walked together, so apart from arrays with one
-entry per pair, the working memory beyond g is the narrowed level-0
-table and d buffers of 2**n cells, each cell 2, 4 or 8 bytes.  At 8
-bytes the level-0 table is g itself, shifted and swept in place.  The
-README gives measured timings.
+non-empty pair.  Finished tables of level j are stacked 2**j to a chunk
+in one buffer of 2**n cells and walked together, so apart from arrays
+with one entry per non-empty pair, the working memory beyond g is the
+narrowed level-0 table and d buffers of 2**n cells, each cell 2, 4 or 8
+bytes.  At 8 bytes the level-0 table is g itself, shifted and swept in
+place.  The README gives measured timings.
 
 Within a chunk every B with |B| = j leaves the same n - j free bits once
 they are squeezed, so one list of A sides, the subsets of at most d of
-those bits, serves them all.  Each row carries its minimizer and the
-minimizer's g, and ``_select`` orders the distinct sets by (g, lex),
-whatever the row order.  As 0 <= |S| <= n < n + 1, that is (f, |S|, lex)
-order.
+those bits, serves them all.  Each non-empty pair gets a row: its
+minimizer, the minimizer's g, |A| (the popcount of the start) and |B| = j.
+``_select`` orders the distinct sets by (g, lex); no reader relies on the
+row order.  As 0 <= |S| <= n < n + 1, that is (f, |S|, lex) order.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -99,20 +100,14 @@ def candidate_pairs(n: int, d: int) -> Iterator[tuple[tuple[int, ...], tuple[int
 
 @dataclass
 class _NodeTable:
-    """One row per pair, in the order the sweep finishes its B sides: the
-    masks of A and B, the minimal minimizer and its scaled value g.
+    """One row per non-empty pair (A, B): the minimal minimizer over
+    [A, N - B], its scaled value g, and the sizes |A| and |B|, all int64.
+    Empty pairs have no row, and no reader relies on the row order."""
 
-    Empty pairs hold ``setmask`` 0 and ``g`` equal to ``_SENTINEL``.
-    """
-
-    amask: np.ndarray
-    bmask: np.ndarray
     setmask: np.ndarray
     g: np.ndarray
-
-    @property
-    def nonempty(self) -> np.ndarray:
-        return self.g != _SENTINEL
+    asize: np.ndarray
+    bsize: np.ndarray
 
 
 def _scaled_table(oracle: SubmodularOracle, ring: RingFamily) -> np.ndarray:
@@ -142,10 +137,10 @@ def _restore_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
 
 
 def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
-    """The node table of every pair up to depth ``d``: per pair an argmin
-    of ``g`` over the interval [A, N - B], or an empty row where the
-    interval holds no member (no cell below ``_SENTINEL``).  Found by the
-    narrowing, the depth-first sweep and the walk of the module docstring.
+    """The node table of the pairs up to depth ``d``: per pair whose
+    interval [A, N - B] holds a member (a cell below ``_SENTINEL``), one
+    row with an argmin of ``g`` there.  Found by the narrowing, the
+    depth-first sweep and the walk of the module docstring.
 
     The cells are g - base for members and ``top`` for holes, in the
     narrowest unsigned width whose maximum ``top`` exceeds the members'
@@ -162,9 +157,9 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
     table and one chunk of 2**n cells per level 1 ... d, of 2, 4 or 8
     bytes a cell.
 
-    Rows come out one chunk at a time, in the order the chunks fill: the
-    B sides of a chunk in the order their sweeps finish, and within each
-    B its A sides in (|A|, A) order.
+    Each chunk's walk returns its rows, and they are joined once at the
+    end; the pairs of the walked chunks, empty ones included, must number
+    ``pair_count(n, d)``.
 
     The walk ends on a cell x that holds the interval minimum, while each
     ``x | t`` is a superset of the cell where t was rejected and so holds
@@ -173,7 +168,6 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
     submodular input the unique one, the inclusion-minimal minimizer.
     """
     d = min(n, d)
-    table = _NodeTable(*(np.empty(pair_count(n, d), dtype=np.int64) for _ in range(4)))
     member = g != _SENTINEL
     base = g.min(initial=_SENTINEL, where=member)
     span = int(g.max(initial=base, where=member)) - int(base)
@@ -192,7 +186,8 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
     chunks = [level0] + [np.empty(1 << n, dtype=width) for _ in range(d)]
     starts = [_subset_masks(n - j, range(min(n - j, d) + 1)) for j in range(d + 1)]
     bsides: list[list[int]] = [[] for _ in range(d + 1)]
-    done = 0
+    rows = []
+    pairs = 0
     # Each entry is a table still being swept: its level j = |B|, the next
     # bit position p to sweep and B.  Every element of B lies below p, so
     # p sits at bit p - j of the table, whose B bits are squeezed out.
@@ -202,8 +197,9 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
         free = n - j
         if p == n:
             bsides[j].append(b)
+            pairs += len(starts[j])
             if len(bsides[j]) == 1 << j:
-                done = _walk_chunk(table, done, chunks[j], free, starts[j], bsides[j], base, top)
+                rows.append(_walk_chunk(chunks[j], n, j, starts[j], bsides[j], base, top))
             continue
         k = len(bsides[j])
         halves = chunks[j][k << free : (k + 1) << free].reshape(-1, 2, 1 << (p - j))
@@ -218,45 +214,43 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
         np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 0])
     for j in range(d + 1):
         if bsides[j]:
-            done = _walk_chunk(table, done, chunks[j], n - j, starts[j], bsides[j], base, top)
-    return table
+            rows.append(_walk_chunk(chunks[j], n, j, starts[j], bsides[j], base, top))
+    assert pairs == pair_count(n, d)
+    return _NodeTable(*map(np.concatenate, zip(*rows)))
 
 
 def _walk_chunk(
-    table: _NodeTable,
-    done: int,
     chunk: np.ndarray,
-    free: int,
+    n: int,
+    j: int,
     starts: np.ndarray,
     bsides: list[int],
     base: np.int64,
     top: int,
-) -> int:
-    """Walk every A side of the swept tables stacked in ``chunk``, one per
-    B in ``bsides``; write their rows from row ``done`` on, empty
-    ``bsides`` and return the next free row.  Cells hold g - ``base``, or
-    ``top`` for a hole."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Walk the non-empty pairs of the tables in ``chunk``, one per B in
+    ``bsides`` (|B| = ``j``), empty ``bsides`` and return the pairs' rows:
+    setmask, g, |A| and |B|.  Cells hold g - ``base``, or ``top`` for a
+    hole; a pair whose start cell is ``top`` is empty and not walked."""
     # The walk runs on flat cell indices: the table's slot above the
     # free-bit mask of A, from the one list ``starts`` of this |B|.
+    free = n - j
     cells = chunk[: len(bsides) << free]
     x = ((np.arange(len(bsides), dtype=np.int64) << free)[:, None] | starts).reshape(-1)
+    x = x[cells[x] != top]
     target = cells[x]
+    asize = np.bitwise_count(x & ((1 << free) - 1)).astype(np.int64)
     for t in range(free):
         step = x | (1 << t)
         x = np.where(cells[step] == target, step, x)
-    rows = slice(done, done + len(x))
-    drop = np.repeat(np.array(bsides, dtype=np.int64), len(starts))
-    table.amask[rows] = _restore_bits(np.tile(starts, len(bsides)), drop)
-    table.bmask[rows] = drop
-    hit = target != top
-    table.setmask[rows] = np.where(hit, _restore_bits(x & ((1 << free) - 1), drop), 0)
-    table.g[rows] = np.where(hit, target.astype(np.int64) + base, _SENTINEL)
+    drop = np.array(bsides, dtype=np.int64)[x >> free]
     bsides.clear()
-    return done + len(x)
+    setmask = _restore_bits(x & ((1 << free) - 1), drop)
+    return setmask, target.astype(np.int64) + base, asize, np.full(len(x), j, dtype=np.int64)
 
 
 def _node_table(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeTable:
-    """Minimal minimizers of every candidate pair up to depth ``dmax``."""
+    """Minimal minimizers of the non-empty pairs up to depth ``dmax``."""
     n = oracle.ground.n
     require_exhaustible(n, "pair-enumeration solving")
     return _pinned_minimizers(_scaled_table(oracle, ring), n, dmax)
@@ -305,7 +299,6 @@ def enum_solve(
     off.  Opaque membership constraints always need an explicit depth.
     """
     ground = oracle.ground
-    n = ground.n
     if ring is None:
         ring = RingFamily.full(ground)
     if ring.ground is not ground and ring.ground.elements != ground.elements:
@@ -317,34 +310,42 @@ def enum_solve(
             depth = 0
         else:
             depth = default_depth(constraint)
+    depth = _checked_depth(depth)
+    rows = _node_table(oracle, ring, depth)
+    pairs = pair_count(ground.n, depth)
+    return _select(ground, rows.setmask, rows.g, constraint, depth, len(rows.g), pairs)
+
+
+def _checked_depth(depth) -> int:
+    """``depth`` as an int; ``InputError`` unless it is an integer >= 0."""
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise InputError(f"depth must be an integer, got {depth!r}") from None
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
-    table = _node_table(oracle, ring, depth)
-    pairs = len(table.g)
-    assert pairs == pair_count(n, depth)
-    keep = table.nonempty
-    return _select(ground, table, keep, constraint, depth, int(keep.sum()), pairs)
+    return depth
 
 
 def _select(
     ground: GroundSet,
-    table: _NodeTable,
-    keep: np.ndarray,
+    setmask: np.ndarray,
+    g: np.ndarray,
     constraint: Constraint | None,
     depth: int,
     sfm_calls: int,
     pairs: int,
 ) -> EnumSolution:
-    """Answer a run from the node-table rows selected by ``keep``.
+    """Answer a run from node-table rows, given as their sets and g.
 
-    The candidates are the distinct sets collected at the kept pairs; the
+    The candidates are the distinct sets among the rows, in any order; the
     answer is the first constraint-feasible one in (value, cardinality,
-    lex) order.  ``keep`` must select only non-empty pairs.  The counters
-    are the caller's: ``skipped_empty`` is ``pairs - sfm_calls``.
+    lex) order.  The counters are the caller's: ``skipped_empty`` is
+    ``pairs - sfm_calls``.
     """
     n = ground.n
-    sets, first = np.unique(table.setmask[keep], return_index=True)
-    scaled = table.g[keep][first]
+    sets, first = np.unique(setmask, return_index=True)
+    scaled = g[first]
     ordered = _ordered_candidates(sets, scaled, n).tolist()
     if constraint is None:
         feasible = lambda mask: True  # noqa: E731

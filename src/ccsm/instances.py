@@ -56,6 +56,21 @@ def _require_keys(payload: dict, required: set[str], optional: set[str], what: s
         raise InputError(f"{what} has unknown keys {sorted(extra)}")
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, else ``InputError``.  Floats,
+    strings and booleans are refused rather than cast: ``int`` would
+    truncate 1.9 to 1, and ``true`` would count as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_edges(items, what: str) -> tuple[tuple[str, str, int], ...]:
+    """``[u, v, w]`` triples as (label, label, weight), each weight a JSON
+    integer."""
+    return tuple((str(u), str(v), json_int(w, f"{what} weight")) for u, v, w in items)
+
+
 def _parse_function(payload: dict, ground: GroundSet) -> SubmodularOracle:
     _require_keys(payload, {"type"}, {"weights", "edges", "arcs", "covered_sets", "values"},
                   "function")
@@ -65,13 +80,13 @@ def _parse_function(payload: dict, ground: GroundSet) -> SubmodularOracle:
         weights = payload["weights"]
         if not isinstance(weights, dict):
             raise InputError('"weights" must map labels to integers')
-        spec = Modular({str(k): int(v) for k, v in weights.items()})
+        spec = Modular({str(k): json_int(v, "a weight") for k, v in weights.items()})
     elif tag == "cut_undirected":
         _require_keys(payload, {"type", "edges"}, set(), "cut function")
-        spec = CutUndirected(tuple((str(u), str(v), int(w)) for u, v, w in payload["edges"]))
+        spec = CutUndirected(json_edges(payload["edges"], "an edge"))
     elif tag == "cut_directed":
         _require_keys(payload, {"type", "arcs"}, set(), "cut function")
-        spec = CutDirected(tuple((str(u), str(v), int(w)) for u, v, w in payload["arcs"]))
+        spec = CutDirected(json_edges(payload["arcs"], "an arc"))
     elif tag == "coverage":
         _require_keys(payload, {"type", "covered_sets"}, set(), "coverage function")
         covered = payload["covered_sets"]
@@ -93,7 +108,7 @@ def _parse_function(payload: dict, ground: GroundSet) -> SubmodularOracle:
             mask = ground.mask_of(labels)
             if table[mask] is not None:
                 raise InputError(f"duplicate table entry for {sorted(labels)}")
-            table[mask] = int(value)
+            table[mask] = json_int(value, "a table value")
         holes = table.count(None)
         if holes:
             raise InputError(f"table is missing {holes} of {1 << ground.n} subsets")
@@ -137,20 +152,23 @@ def parse_constraint(payload: dict | None) -> Constraint | None:
     tag = payload["type"]
     if tag == "congruency":
         _require_keys(payload, {"type", "modulus", "residue"}, set(), "congruency constraint")
-        return CongruencyConstraint(int(payload["modulus"]), int(payload["residue"]))
+        return CongruencyConstraint(
+            json_int(payload["modulus"], "the modulus"), json_int(payload["residue"], "a residue")
+        )
     if tag == "generalized":
         _require_keys(payload, {"type", "modulus", "terms"}, set(), "generalized constraint")
         terms = []
         for term in payload["terms"]:
             _require_keys(term, {"set", "residue"}, set(), "generalized term")
-            terms.append((frozenset(str(x) for x in term["set"]), int(term["residue"])))
-        return GeneralizedConstraint(int(payload["modulus"]), tuple(terms))
+            residue = json_int(term["residue"], "a residue")
+            terms.append((frozenset(str(x) for x in term["set"]), residue))
+        return GeneralizedConstraint(json_int(payload["modulus"], "the modulus"), tuple(terms))
     if tag == "tcut":
         _require_keys(payload, {"type", "set", "modulus", "residue"}, set(), "tcut constraint")
         return TCutConstraint(
             frozenset(str(x) for x in payload["set"]),
-            int(payload["modulus"]),
-            int(payload["residue"]),
+            json_int(payload["modulus"], "the modulus"),
+            json_int(payload["residue"], "a residue"),
         )
     raise InputError(f"unknown constraint type {tag!r}")
 

@@ -89,6 +89,28 @@ def naive_pairs(labels, d):
     return out
 
 
+def modular_congruence_min(weights, labels, forced_in, forced_out, modulus, residue):
+    """Least total weight of a set S of ``labels`` that holds ``forced_in``,
+    avoids ``forced_out`` and has |S| = residue (mod modulus), or None if
+    no S does.  A dynamic program over the residue of |S|, one label at a
+    time, in O(n * modulus) steps, so it checks solves at any n."""
+    best = {0: 0}  # residue of |S| so far -> least weight so far
+    for x in labels:
+        w = weights.get(x, 0)
+        step = {}
+        for res, value in best.items():
+            moves = []
+            if x not in forced_in:
+                moves.append((res, value))
+            if x not in forced_out:
+                moves.append(((res + 1) % modulus, value + w))
+            for r, v in moves:
+                if r not in step or v < step[r]:
+                    step[r] = v
+        best = step
+    return best.get(residue % modulus)
+
+
 def brute_constrained_min(labels, value_fn, member_fn):
     """(optimum, list of optimal sets) over feasible subsets, None if none."""
     feasible = [s for s in powerset(labels) if member_fn(s)]

@@ -166,6 +166,41 @@ def test_malformed_values_exit_two(capsys, tmp_path, triangle_file, command, pay
     assert "error" in err and "Traceback" not in err
 
 
+def test_non_integer_numbers_and_a_string_directed_exit_two(capsys, tmp_path):
+    """A modular weight of 1.9 or true, and a "directed": "false" graph,
+    are refused rather than cast to a different problem."""
+    instance = tmp_path / "float.json"
+    instance.write_text(
+        json.dumps(
+            {
+                "ground_set": ["a", "b", "c"],
+                "function": {"type": "modular", "weights": {"a": 1.9, "b": -0.5, "c": True}},
+                "constraint": {"type": "congruency", "modulus": 2, "residue": 1},
+            }
+        )
+    )
+    graph = tmp_path / "directed-string.json"
+    graph.write_text(
+        json.dumps(
+            {
+                "vertices": ["a", "b", "c"],
+                "edges": [["a", "b", 1], ["b", "c", 2]],
+                "directed": "false",
+            }
+        )
+    )
+    for argv in (
+        ("solve", "--instance", str(instance)),
+        ("oracle", "--instance", str(instance)),
+        ("solve-cut", "--graph", str(graph), "--mode", "congruency", "--m", "2", "--r", "1",
+         "--proper"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out is None
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_oracle_command(capsys, tight_instance_file):
     rc, payload, _ = run(capsys, "oracle", "--instance", tight_instance_file)
     assert rc == 0

@@ -266,3 +266,24 @@ def test_load_graph_parses_and_validates():
         load_graph({"vertices": ["a", "b"], "edges": [["a", "b"]]})
     with pytest.raises(InputError):
         load_graph([1, 2])
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"vertices": ["a", "b"], "edges": [["a", "b", 0.9]]}, "JSON integer"),
+        ({"vertices": ["a", "b"], "edges": [["a", "b", True]]}, "JSON integer"),
+        ({"vertices": ["a", "b"], "edges": [["a", "b", "2"]]}, "JSON integer"),
+        ({"vertices": ["a", "b"], "edges": [], "directed": "false"}, "directed"),
+        ({"vertices": ["a", "b"], "edges": [], "directed": 0}, "directed"),
+        ({"vertices": ["a", "b"], "edges": [], "directed": None}, "directed"),
+        ({"vertices": "ab", "edges": []}, "vertices"),
+        ({"vertices": {"a": 1}, "edges": []}, "vertices"),
+    ],
+)
+def test_load_graph_refuses_values_it_would_have_to_cast(payload, message):
+    """Edge weights must be JSON integers, "directed" a JSON boolean and
+    "vertices" a list: casting would truncate a weight, read "false" as
+    true, or split a string into one-letter labels."""
+    with pytest.raises(InputError, match=message):
+        load_graph(payload)

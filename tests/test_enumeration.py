@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ccsm.errors import InputError
 from ccsm.families import (
     random_generalized_instance,
     random_instance,
+    random_modular,
     random_oracle,
     random_ring,
     tight_depth_instance,
@@ -36,6 +38,7 @@ from ccsm.reference import exhaustive_solve
 from helpers import (
     brute_constrained_min,
     card_lex_key,
+    modular_congruence_min,
     naive_cut_undirected,
     naive_pairs,
     naive_ring_member,
@@ -127,10 +130,18 @@ def _full_depth_cases():
 NODE_TABLE_CASES = {"bounded_depth": _bounded_depth_cases, "full_depth": _full_depth_cases}
 
 
+def _rows_by_sizes(table):
+    """The node table's rows as sorted (|A|, |B|, set, g) tuples, so two
+    tables compare per pair size whatever their row order."""
+    columns = (table.asize, table.bsize, table.setmask, table.g)
+    return sorted(zip(*(c.tolist() for c in columns)))
+
+
 @pytest.mark.parametrize("cases", sorted(NODE_TABLE_CASES))
 def test_node_table_matches_brute_force(cases):
-    """Every pair's entry is the inclusion-minimal minimizer of f over the
-    members that contain A and avoid B, found by a literal scan."""
+    """The node table holds one row per pair (A, B) for which some ring
+    member contains A and avoids B: the inclusion-minimal minimizer of f
+    over those members, found by a literal scan, and its g = (n + 1) f + |S|."""
     for oracle, ring, d in NODE_TABLE_CASES[cases]():
         g = oracle.ground
         labels = g.elements
@@ -138,32 +149,23 @@ def test_node_table_matches_brute_force(cases):
         fout = g.labels_of(ring.forced_out)
         arcs = [(labels[u], labels[v]) for u, v in ring.implications]
         value = {s: oracle.eval(s) for s in powerset(labels)}
-        scaled = _scaled_table(oracle, ring)
-        table = _pinned_minimizers(scaled.copy(), g.n, d)
-        rows = list(zip(table.amask.tolist(), table.bmask.tolist()))
-        pairs = [
-            (sum(1 << i for i in a), sum(1 << i for i in b)) for a, b in candidate_pairs(g.n, d)
-        ]
-        # Each pair once, in any order.
-        assert len(rows) == len(set(rows)) == len(pairs)
-        assert set(rows) == set(pairs)
-        for k, (a, b) in enumerate(rows):
-            a_labels = g.labels_of(a)
-            b_labels = g.labels_of(b)
+        want = []
+        for a, b in candidate_pairs(g.n, d):
+            a_labels = [labels[i] for i in a]
+            b_labels = [labels[i] for i in b]
             best, optima = brute_constrained_min(
                 labels,
                 value.__getitem__,
                 lambda s: naive_ring_member(s, (*fin, *a_labels), (*fout, *b_labels), arcs),
             )
-            assert bool(table.nonempty[k]) == (best is not None)
             if best is None:
-                assert table.setmask[k] == 0
-                assert table.g[k] == _SENTINEL
                 continue
-            assert table.g[k] == scaled[table.setmask[k]]
-            got = g.set_of(int(table.setmask[k]))
-            assert got in optima
-            assert all(got <= opt for opt in optima)
+            minimal = [s for s in optima if all(s <= opt for opt in optima)]
+            assert len(minimal) == 1
+            got = minimal[0]
+            want.append((len(a), len(b), g.mask_of(got), (g.n + 1) * best + len(got)))
+        table = _pinned_minimizers(_scaled_table(oracle, ring), g.n, d)
+        assert _rows_by_sizes(table) == sorted(want)
 
 
 # (lowest member value, member span): the sweeps run in the narrowest of
@@ -199,27 +201,31 @@ def _any_tables(rng):
 
 def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     """On tables with ties and holes, where the minimizer need not be
-    unique, every non-empty entry lies in [A, N - B] and both its set and
-    its g attain the minimum of g there; a pair is empty, with set 0 and g
-    ``_SENTINEL``, exactly when its interval is all holes.  Depths run
-    past n, so every level of the sweep is reached and chunks are walked
-    both full and part-filled; the spans reach every sweep width."""
+    unique, the node table has one row per pair whose interval [A, N - B]
+    holds a cell below ``_SENTINEL``, and none for an interval of holes.
+    Each row's g is the least cell of its interval, and its set is the
+    argmin there that is greatest in bit-reversed order, as the walk
+    decides bit 0 first.  Depths run past n, so every level of the sweep
+    is reached and chunks are walked both full and part-filled; the spans
+    reach every sweep width."""
     rng = np.random.default_rng(35)
     for n, g in _any_tables(rng):
         d = int(rng.integers(0, n + 2))
-        table = _pinned_minimizers(g.copy(), n, d)
-        a = table.amask[:, None]
-        b = table.bmask[:, None]
         masks = np.arange(1 << n)
+        reversed_masks = sum(((masks >> i) & 1) << (n - 1 - i) for i in range(n))
+        pairs = list(candidate_pairs(n, d))
+        a = np.array([sum(1 << i for i in p) for p, _ in pairs], dtype=np.int64)[:, None]
+        b = np.array([sum(1 << i for i in q) for _, q in pairs], dtype=np.int64)[:, None]
         inside = ((masks & a) == a) & ((masks & b) == 0)
         low = np.where(inside, g, _SENTINEL).min(axis=1)
-        ne = table.nonempty
-        assert len(ne) == pair_count(n, d)
-        assert np.array_equal(ne, low != _SENTINEL)
-        assert (table.setmask[~ne] == 0).all() and (table.g[~ne] == _SENTINEL).all()
-        s = table.setmask[ne]
-        assert ((s & a[ne, 0]) == a[ne, 0]).all() and (s & b[ne, 0] == 0).all()
-        assert np.array_equal(g[s], low[ne]) and np.array_equal(table.g[ne], low[ne])
+        ties = inside & (g == low[:, None])
+        pick = masks[np.where(ties, reversed_masks, -1).argmax(axis=1)]
+        want = sorted(
+            (len(p), len(q), int(s), int(v))
+            for (p, q), s, v in zip(pairs, pick, low)
+            if v != _SENTINEL
+        )
+        assert _rows_by_sizes(_pinned_minimizers(g.copy(), n, d)) == want
 
 
 def test_a_solve_leaves_no_garbage_cycle():
@@ -459,3 +465,59 @@ def test_membership_oracle_with_explicit_depth_runs_unguaranteed():
     assert not sol.guaranteed
     assert sol.value == -2
     assert sol.best == frozenset({"a", "c"})
+
+
+def test_depth_must_be_an_integer():
+    """A float or string depth is an input error, not a crash inside the
+    node table; a numpy integer depth still works."""
+    instance = tight_depth_instance(3)
+    args = (instance.oracle, instance.ring, instance.constraint)
+    problem = CutProblem(
+        ("a", "b", "c"), (("a", "b", 1), ("b", "c", 2)), False, CongruencyConstraint(2, 1)
+    )
+    for depth in (1.5, 2.0, "1"):
+        with pytest.raises(InputError, match="integer"):
+            enum_solve(*args, depth)
+        for proper in (False, True):
+            with pytest.raises(InputError, match="integer"):
+                solve_cut(replace(problem, proper=proper), depth)
+    assert enum_solve(*args, np.int64(2)) == enum_solve(*args, 2)
+    for proper in (False, True):
+        cut = replace(problem, proper=proper)
+        assert solve_cut(cut, np.int64(1)) == solve_cut(cut, 1)
+
+
+def _forced_modular(rng, n, modulus):
+    """A random ``Modular`` instance on a ring of forced-in and forced-out
+    elements only, under |S| = r (mod modulus), and the DP's answer."""
+    oracle = random_modular(rng, n)
+    labels = oracle.ground.elements
+    state = rng.integers(0, 6, size=n)
+    fin = [x for x, s in zip(labels, state) if s == 0]
+    fout = [x for x, s in zip(labels, state) if s == 1]
+    ring = RingFamily.from_labels(oracle.ground, fin, fout)
+    residue = int(rng.integers(0, modulus))
+    want = modular_congruence_min(oracle.spec.weights, labels, fin, fout, modulus, residue)
+    return oracle, ring, CongruencyConstraint(modulus, residue), want
+
+
+def test_residue_dp_matches_the_reference():
+    rng = np.random.default_rng(61)
+    for n in range(13):
+        for modulus in (2, 3, 4, 5):
+            oracle, ring, constraint, want = _forced_modular(rng, n, modulus)
+            assert exhaustive_solve(oracle, ring, constraint).optimum == want
+
+
+@pytest.mark.parametrize(
+    "sizes, modulus",
+    [(range(14, 21), 2), (range(14, 21), 3), (range(1, 13), 5)],
+    ids=["m2-n14-20", "m3-n14-20", "m5-n1-12"],
+)
+def test_modular_solves_match_the_residue_dp(sizes, modulus):
+    """Above the sizes the reference checks comfortably, the solver's
+    value is checked against an O(n * m) dynamic program."""
+    rng = np.random.default_rng(62 + modulus)
+    for n in sizes:
+        oracle, ring, constraint, want = _forced_modular(rng, n, modulus)
+        assert enum_solve(oracle, ring, constraint).value == want

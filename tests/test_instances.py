@@ -199,6 +199,66 @@ def test_constraint_labels_outside_ground_are_rejected():
         instance_from_dict(payload)
 
 
+_CONGRUENCY = {"type": "congruency", "modulus": 2, "residue": 1}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(
+            _base({"type": "modular", "weights": {"a": 1.9, "b": -0.5, "c": True}}),
+            id="weight-float",
+        ),
+        pytest.param(_base({"type": "modular", "weights": {"a": True}}), id="weight-bool"),
+        pytest.param(_base({"type": "modular", "weights": {"a": "3"}}), id="weight-string"),
+        pytest.param(
+            _base({"type": "cut_undirected", "edges": [["a", "b", 0.9]]}), id="edge-float"
+        ),
+        pytest.param(
+            _base({"type": "cut_directed", "arcs": [["a", "b", False]]}), id="arc-bool"
+        ),
+        pytest.param(
+            {
+                "ground_set": ["a"],
+                "function": {"type": "explicit_table", "values": [[[], 0], [["a"], 1.0]]},
+            },
+            id="table-value-float",
+        ),
+        pytest.param(
+            _base({"type": "modular", "weights": {}}, constraint={**_CONGRUENCY, "modulus": 2.0}),
+            id="modulus-float",
+        ),
+        pytest.param(
+            _base({"type": "modular", "weights": {}}, constraint={**_CONGRUENCY, "residue": True}),
+            id="residue-bool",
+        ),
+        pytest.param(
+            _base(
+                {"type": "modular", "weights": {}},
+                constraint={
+                    "type": "generalized",
+                    "modulus": 2,
+                    "terms": [{"set": ["a"], "residue": 1.5}],
+                },
+            ),
+            id="term-residue-float",
+        ),
+        pytest.param(
+            _base(
+                {"type": "modular", "weights": {}},
+                constraint={"type": "tcut", "set": ["a"], "modulus": "3", "residue": 0},
+            ),
+            id="tcut-modulus-string",
+        ),
+    ],
+)
+def test_numbers_must_be_json_integers(payload):
+    """Weights, table values, moduli and residues are refused unless they
+    are JSON integers: a cast would truncate 1.9 to 1 or read true as 1."""
+    with pytest.raises(InputError, match="must be a JSON integer"):
+        instance_from_dict(payload)
+
+
 def test_strict_keys_everywhere():
     with pytest.raises(InputError, match="unknown keys"):
         instance_from_dict(

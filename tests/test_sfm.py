@@ -23,7 +23,7 @@ CYCLE4 = tuple((u, v, 1) for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", 
 def _minimal_min(oracle, ring):
     """(minimizer, value), or None where the ring is empty."""
     table = _pinned_minimizers(_scaled_table(oracle, ring), oracle.ground.n, 0)
-    if not table.nonempty[0]:
+    if len(table.setmask) == 0:
         return None
     best = oracle.ground.set_of(int(table.setmask[0]))
     return best, oracle.eval(best)
