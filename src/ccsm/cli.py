@@ -20,7 +20,7 @@ from .enumeration import EnumSolution, enum_solve, pair_count
 from .errors import InputError, InternalInconsistencyError, UnsupportedSizeError
 from .families import random_closed_covering_system, random_instance, tight_depth_instance
 from .ground import GroundSet
-from .instances import Instance, load_instance
+from .instances import Instance, json_labels, load_instance
 from .reference import OracleResult, exhaustive_solve
 from .systems import (
     SetSystem,
@@ -107,12 +107,8 @@ def _load_label_lists(path: str) -> list[list[str]]:
         raise InputError(f"cannot read label lists from {path}: {exc}") from None
     if isinstance(payload, dict) and "sets" in payload:
         payload = payload["sets"]
-    if not isinstance(payload, list):
-        raise InputError(f"{path} must hold a JSON list of label lists")
-    try:
-        return [[str(x) for x in entry] for entry in payload]
-    except TypeError as exc:
-        raise InputError(f"{path} must hold a JSON list of label lists: {exc}") from None
+    entries = json_labels(payload, f"the label lists in {path}")
+    return [[str(x) for x in json_labels(entry, f"a label list in {path}")] for entry in entries]
 
 
 def _cmd_solve_cut(args) -> int:

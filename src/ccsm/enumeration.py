@@ -13,14 +13,13 @@ minimizer on every non-empty sublattice and it is the inclusion-minimal
 minimizer of f.  ``_node_table`` is the one place that computes them,
 for every pair, in ``_pinned_minimizers``:
 
-- narrow: the sweeps and walks run on g - base, where base is the least
-  member value, in the first of uint16 / uint32 / uint64 whose top value
-  exceeds the members' span; that top value marks the non-members.  A
-  constant shift, with the holes above every member, keeps every ``<``
-  and ``==`` the sweep and the walk make, so each row is the one the
-  int64 table gives; the rows' g go back to int64 with base added.  The
-  scaled values stay below ``_SENTINEL`` in absolute value, so the span
-  always fits in 64 bits;
+- cells: ``_scaled_cells`` writes g - base, base = (n + 1) lo, straight
+  from f, the feasibility table and |S| (no int64 table of g exists), in
+  the first of uint16 / uint32 / uint64 whose top value, which marks the
+  non-members, exceeds (n + 1)(hi - lo) + n; lo and hi bound f over the
+  members.  A constant shift, with the holes above every member, keeps
+  every ``<`` and ``==`` the sweep and the walk make, so each row is the
+  one an int64 table of g would give, its g back in int64 with base added;
 - sweep: one in-place superset-min pass per bit position leaves in each
   cell the minimum of g over its supersets.  For a fixed B the sets that
   avoid B form a 2**(n - |B|) sub-cube, kept with B's bits squeezed out,
@@ -41,10 +40,9 @@ sweeps cost sum over j <= d of C(n, j + 1) 2**(n - j) cell updates
 (n + C(n, 2) / 2 full passes at d = 1), and the walks n - |B| steps per
 non-empty pair.  Finished tables of level j are stacked 2**j to a chunk
 in one buffer of 2**n cells and walked together, so apart from arrays
-with one entry per non-empty pair, the working memory beyond g is the
-narrowed level-0 table and d buffers of 2**n cells, each cell 2, 4 or 8
-bytes.  At 8 bytes the level-0 table is g itself, shifted and swept in
-place.  The README gives measured timings.
+with one entry per non-empty pair, the working memory beyond f is the
+level-0 cells and d buffers of 2**n cells, each cell 2, 4 or 8 bytes.
+The README gives measured timings.
 
 Within a chunk every B with |B| = j leaves the same n - j free bits once
 they are squeezed, so one list of A sides, the subsets of at most d of
@@ -68,7 +66,7 @@ from .constraints import Constraint, default_depth, guarantees_exactness
 from .errors import InputError
 from .ground import GroundSet, reversed_bits_array
 from .lattice import RingFamily
-from .limits import _SENTINEL, require_exhaustible
+from .limits import require_exhaustible
 from .oracles import SubmodularOracle
 
 ROUTE_TABLE = "table"
@@ -110,12 +108,28 @@ class _NodeTable:
     bsize: np.ndarray
 
 
-def _scaled_table(oracle: SubmodularOracle, ring: RingFamily) -> np.ndarray:
+def _scaled_cells(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarray, int]:
+    """The level-0 cells and base of the module docstring.  No 2**n
+    temporary is wider than the cells: |S| is uint8 (n <= 24)."""
     n = oracle.ground.n
-    scaled = oracle.value_table() * (n + 1)
-    scaled += np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
-    scaled[~ring.feasibility_table()] = _SENTINEL
-    return scaled
+    f = oracle.value_table()
+    member = ring.feasibility_table()
+    # range_bound >= max |f| stands in for lo where there is no member.
+    lo = int(f.min(initial=oracle.range_bound, where=member))
+    hi = int(f.max(initial=lo, where=member))
+    span = (n + 1) * (hi - lo) + n
+    width = next(t for t in (np.uint16, np.uint32, np.uint64) if np.iinfo(t).max > span)
+    # Holes wrap around here; they are overwritten last.
+    cells = np.empty(1 << n, dtype=width)
+    np.subtract(f, lo, out=cells, casting="unsafe")
+    cells *= n + 1
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        np.add(sizes[: 1 << i], 1, out=sizes[1 << i : 2 << i])
+    cells += sizes
+    del sizes
+    cells[~member] = np.iinfo(width).max
+    return cells, (n + 1) * lo
 
 
 def _subset_masks(n: int, sizes: range) -> np.ndarray:
@@ -136,26 +150,18 @@ def _restore_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
+def _pinned_minimizers(cells: np.ndarray, base: int, n: int, d: int) -> _NodeTable:
     """The node table of the pairs up to depth ``d``: per pair whose
-    interval [A, N - B] holds a member (a cell below ``_SENTINEL``), one
-    row with an argmin of ``g`` there.  Found by the narrowing, the
-    depth-first sweep and the walk of the module docstring.
-
-    The cells are g - base for members and ``top`` for holes, in the
-    narrowest unsigned width whose maximum ``top`` exceeds the members'
-    span, so ``top`` is above every member: each comparison comes out as
-    on the int64 table, and so does every row.  Up to 32 bits the sweeps
-    run on a narrowed copy and ``g`` is left as it was; at 64 bits ``g``
-    itself is shifted, its holes set to -1 (``top`` as uint64) and swept
-    in place, so that no further 2**n int64 table is made.
+    interval [A, N - B] holds a member (a cell below ``top``, the maximum
+    of the cells' unsigned dtype), one row with an argmin of ``cells``
+    there and its g = cell + ``base``, which must fit in int64.  Found by
+    the depth-first sweep, in place, and the walk of the module docstring.
 
     The table of B + p is copied from its parent's 0-half at p before the
     parent sweeps p, so it starts swept at every position below p and
     sweeps only those above: sum over j <= d of C(n, j + 1) 2**(n - j)
-    cell updates in all.  Besides ``g``, the sweep holds the level-0
-    table and one chunk of 2**n cells per level 1 ... d, of 2, 4 or 8
-    bytes a cell.
+    cell updates in all.  Besides ``cells``, the sweep holds one chunk
+    of 2**n cells per level 1 ... d, in the cells' width.
 
     Each chunk's walk returns its rows, and they are joined once at the
     end; the pairs of the walked chunks, empty ones included, must number
@@ -163,27 +169,16 @@ def _pinned_minimizers(g: np.ndarray, n: int, d: int) -> _NodeTable:
 
     The walk ends on a cell x that holds the interval minimum, while each
     ``x | t`` is a superset of the cell where t was rejected and so holds
-    more.  Every proper superset of x lies under some ``x | t``, so g[x]
+    more.  Every proper superset of x lies under some ``x | t``, so cell x
     itself is the minimum: the walk finds an argmin on any table, and on
     submodular input the unique one, the inclusion-minimal minimizer.
     """
     d = min(n, d)
-    member = g != _SENTINEL
-    base = g.min(initial=_SENTINEL, where=member)
-    span = int(g.max(initial=base, where=member)) - int(base)
-    width = next(t for t in (np.uint16, np.uint32, np.uint64) if np.iinfo(t).max > span)
-    top = np.iinfo(width).max
-    if width is np.uint64:
-        g -= base
-        g[~member] = -1
-        level0 = g.view(np.uint64)
-    else:
-        level0 = np.full(1 << n, top, dtype=width)
-        np.subtract(g, base, out=level0, where=member, casting="unsafe")
+    top = np.iinfo(cells.dtype).max
     # Level j stacks up to 2**j tables of 2**(n - j) cells, one per B with
     # |B| = j, in the order of ``bsides[j]``; the slot after them holds the
-    # level's table in progress.  Level 0 is the narrowed g.
-    chunks = [level0] + [np.empty(1 << n, dtype=width) for _ in range(d)]
+    # level's table in progress.  Level 0 is ``cells`` itself.
+    chunks = [cells] + [np.empty(1 << n, dtype=cells.dtype) for _ in range(d)]
     starts = [_subset_masks(n - j, range(min(n - j, d) + 1)) for j in range(d + 1)]
     bsides: list[list[int]] = [[] for _ in range(d + 1)]
     rows = []
@@ -225,7 +220,7 @@ def _walk_chunk(
     j: int,
     starts: np.ndarray,
     bsides: list[int],
-    base: np.int64,
+    base: int,
     top: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Walk the non-empty pairs of the tables in ``chunk``, one per B in
@@ -253,7 +248,7 @@ def _node_table(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeT
     """Minimal minimizers of the non-empty pairs up to depth ``dmax``."""
     n = oracle.ground.n
     require_exhaustible(n, "pair-enumeration solving")
-    return _pinned_minimizers(_scaled_table(oracle, ring), n, dmax)
+    return _pinned_minimizers(*_scaled_cells(oracle, ring), n, dmax)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_labels(value, what: str) -> list:
+    """``value`` if it is a JSON list, else ``InputError``.  A string is
+    refused rather than split: ``"ab"`` would read as the labels a and b."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def json_edges(items, what: str) -> tuple[tuple[str, str, int], ...]:
     """``[u, v, w]`` triples as (label, label, weight), each weight a JSON
     integer."""
@@ -92,7 +100,12 @@ def _parse_function(payload: dict, ground: GroundSet) -> SubmodularOracle:
         covered = payload["covered_sets"]
         if not isinstance(covered, dict):
             raise InputError('"covered_sets" must map labels to item lists')
-        spec = Coverage({str(k): tuple(str(i) for i in v) for k, v in covered.items()})
+        spec = Coverage(
+            {
+                str(k): tuple(str(i) for i in json_labels(v, "a covered set"))
+                for k, v in covered.items()
+            }
+        )
     elif tag == "explicit_table":
         _require_keys(payload, {"type", "values"}, set(), "table function")
         entries = payload["values"]
@@ -105,7 +118,7 @@ def _parse_function(payload: dict, ground: GroundSet) -> SubmodularOracle:
                 labels, value = entry
             except (TypeError, ValueError):
                 raise InputError(f"table entry {entry!r} is not a [labels, value] pair")
-            mask = ground.mask_of(labels)
+            mask = ground.mask_of(json_labels(labels, "a table entry's set"))
             if table[mask] is not None:
                 raise InputError(f"duplicate table entry for {sorted(labels)}")
             table[mask] = json_int(value, "a table value")
@@ -131,16 +144,15 @@ def _parse_lattice(payload: dict | None, ground: GroundSet) -> RingFamily:
         return RingFamily.full(ground)
     _require_keys(payload, set(), {"forced_in", "forced_out", "implications"}, "lattice")
     implications = []
-    for entry in payload.get("implications", []):
-        try:
-            u, v = entry
-        except (TypeError, ValueError):
+    for entry in json_labels(payload.get("implications", []), '"implications"'):
+        pair = json_labels(entry, "an implication")
+        if len(pair) != 2:
             raise InputError(f"implication {entry!r} is not a [u, v] pair")
-        implications.append((str(u), str(v)))
+        implications.append((str(pair[0]), str(pair[1])))
     return RingFamily.from_labels(
         ground,
-        tuple(str(x) for x in payload.get("forced_in", [])),
-        tuple(str(x) for x in payload.get("forced_out", [])),
+        tuple(str(x) for x in json_labels(payload.get("forced_in", []), '"forced_in"')),
+        tuple(str(x) for x in json_labels(payload.get("forced_out", []), '"forced_out"')),
         implications,
     )
 
@@ -161,12 +173,13 @@ def parse_constraint(payload: dict | None) -> Constraint | None:
         for term in payload["terms"]:
             _require_keys(term, {"set", "residue"}, set(), "generalized term")
             residue = json_int(term["residue"], "a residue")
-            terms.append((frozenset(str(x) for x in term["set"]), residue))
+            labels = json_labels(term["set"], "a term's set")
+            terms.append((frozenset(str(x) for x in labels), residue))
         return GeneralizedConstraint(json_int(payload["modulus"], "the modulus"), tuple(terms))
     if tag == "tcut":
         _require_keys(payload, {"type", "set", "modulus", "residue"}, set(), "tcut constraint")
         return TCutConstraint(
-            frozenset(str(x) for x in payload["set"]),
+            frozenset(str(x) for x in json_labels(payload["set"], 'a tcut "set"')),
             json_int(payload["modulus"], "the modulus"),
             json_int(payload["residue"], "a residue"),
         )
@@ -176,7 +189,8 @@ def parse_constraint(payload: dict | None) -> Constraint | None:
 def instance_from_dict(payload: dict) -> Instance:
     _require_keys(payload, {"ground_set", "function"}, {"lattice", "constraint"}, "instance")
     try:
-        ground = GroundSet(tuple(str(x) for x in payload["ground_set"]))
+        labels = json_labels(payload["ground_set"], '"ground_set"')
+        ground = GroundSet(tuple(str(x) for x in labels))
         oracle = _parse_function(payload["function"], ground)
         ring = _parse_lattice(payload.get("lattice"), ground)
         constraint = parse_constraint(payload.get("constraint"))

@@ -11,9 +11,9 @@ from .errors import UnsupportedSizeError
 # Hard ceiling for any 2**n table.  16M int64 entries = 128 MiB.
 _EXHAUSTIVE_CAP = 24
 
-# Marks non-members in the solver's scaled int64 tables (int64 max // 4).
-# Oracles refuse inputs whose scaled values (n + 2) * range_bound could
-# reach it, so every int64 sum the package forms stays exact.
+# int64 max // 4.  Oracles refuse inputs whose scaled values
+# (n + 2) * range_bound could reach it, so every int64 sum the package
+# forms stays exact.
 _SENTINEL = (2**63 - 1) // 4
 
 

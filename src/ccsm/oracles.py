@@ -3,9 +3,8 @@
 A :class:`SubmodularOracle` pairs a ground set with one of the function
 specs below and exposes scalar and full-table evaluation.  Values are
 integers throughout; every oracle also carries ``range_bound``, an upper
-bound on ``max |f|``.  Functions whose values could push the solver's
-scaled int64 tables past ``limits._SENTINEL`` are refused with
-``InputError``.
+bound on ``max |f|``.  Functions whose scaled values could pass
+``limits._SENTINEL`` are refused with ``InputError``.
 
 The dense table is built by bit doubling: the half of the table whose
 masks hold bit i is the lower half plus one cheap step (a weight for
@@ -168,9 +167,9 @@ class SubmodularOracle:
     def _set_range_bound(self, bound: int) -> None:
         """Record ``bound >= max |f|``, computed on Python ints.
 
-        The solver's scaled objective ``(n + 1) * f + |S|`` lives in int64
-        next to ``_SENTINEL``; inputs that could reach it are refused rather
-        than left to wrap around.
+        The solver's scaled objective ``(n + 1) * f + |S|`` goes back to
+        int64 in the node table's rows; inputs whose scaled values could
+        reach ``_SENTINEL`` are refused rather than left to wrap around.
         """
         n = self.ground.n
         if (n + 2) * bound > _SENTINEL:

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from .errors import InputError, InternalInconsistencyError
 from .ground import GroundSet, iter_bits, popcount
 from .constraints import is_prime_power
+from .instances import json_labels
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,9 @@ class SetSystem:
     def from_dict(cls, payload: dict) -> "SetSystem":
         if not isinstance(payload, dict) or set(payload) != {"ground", "sets"}:
             raise InputError('a set system needs exactly the keys "ground" and "sets"')
-        sets = payload["sets"]
-        if not isinstance(sets, list):
-            raise InputError('"sets" must be a list of label lists')
+        sets = [json_labels(s, "a set") for s in json_labels(payload["sets"], '"sets"')]
         try:
-            return cls.from_labels(GroundSet(payload["ground"]), sets)
+            return cls.from_labels(GroundSet(json_labels(payload["ground"], '"ground"')), sets)
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed set system: {exc}") from None
 

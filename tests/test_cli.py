@@ -149,6 +149,20 @@ _MODULAR_AB = {"type": "modular", "weights": {"a": 1}}
         ),
         pytest.param("solve-cut", [5], id="tset-not-a-list"),
         pytest.param("verify-system", {"ground": _AB, "sets": [5]}, id="system-set-not-a-list"),
+        # A string where a list of labels is meant is refused, not split
+        # into one-letter labels.
+        pytest.param(
+            "solve", {"ground_set": "ab", "function": _MODULAR_AB}, id="ground-set-a-string"
+        ),
+        pytest.param(
+            "solve",
+            {"ground_set": _AB, "function": _MODULAR_AB, "lattice": {"forced_in": "ab"}},
+            id="forced-in-a-string",
+        ),
+        pytest.param("solve-cut", ["ab"], id="tset-a-string"),
+        pytest.param(
+            "verify-system", {"ground": "ab", "sets": [["a"]]}, id="system-ground-a-string"
+        ),
     ],
 )
 def test_malformed_values_exit_two(capsys, tmp_path, triangle_file, command, payload):

@@ -239,6 +239,36 @@ def test_single_odd_terminal_matches_minimum_odd_cut():
         assert solution.value == best
 
 
+def test_proper_t_odd_cuts_match_gomory_hu():
+    """Padberg and Rao (1982): for |T| even, a minimum T-odd cut is the
+    cheapest fundamental cut of a Gomory-Hu tree with an odd number of T
+    vertices on one side.  A proper ``tset_odd`` solve on a connected graph
+    matches it, and its set is T-odd with that cut value in networkx."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(52)
+    for n in [*range(2, 17), *rng.integers(2, 17, size=40).tolist(), 20]:
+        labels = tuple(f"v{i}" for i in range(n))
+        pairs = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+        pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+        edges = tuple((labels[i], labels[j], int(rng.integers(1, 10))) for i, j in sorted(pairs))
+        graph = nx.Graph()
+        graph.add_weighted_edges_from(edges, weight="capacity")
+        size = 2 * int(rng.integers(1, n // 2 + 1))
+        tset = frozenset(labels[i] for i in rng.choice(n, size=size, replace=False))
+        tree = nx.gomory_hu_tree(graph)
+        best = None
+        for u, v, w in list(tree.edges(data="weight")):
+            tree.remove_edge(u, v)
+            side = nx.node_connected_component(tree, u)
+            tree.add_edge(u, v, weight=w)
+            if len(side & tset) % 2 == 1:
+                best = w if best is None else min(best, w)
+        solution = solve_cut(CutProblem(labels, edges, False, TSetOdd((tset,)), proper=True))
+        assert solution.guaranteed and solution.value == best, (n, sorted(tset))
+        assert len(solution.best & tset) % 2 == 1
+        assert nx.cut_size(graph, solution.best, weight="capacity") == best
+
+
 def test_explicit_depth_zero_is_not_guaranteed():
     problem = CutProblem(("a", "b", "c"), TRIANGLE, False, CongruencyConstraint(2, 1))
     solution = solve_cut(problem, depth=0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,9 @@ from ccsm.constraints import (
 )
 from ccsm.cuts import CutProblem, solve_cut
 from ccsm.enumeration import (
+    _node_table,
     _pinned_minimizers,
-    _scaled_table,
+    _scaled_cells,
     candidate_pairs,
     enum_solve,
     pair_count,
@@ -32,7 +34,6 @@ from ccsm.families import (
 )
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
-from ccsm.limits import _SENTINEL
 from ccsm.oracles import CutUndirected, Modular, SubmodularOracle
 from ccsm.reference import exhaustive_solve
 from helpers import (
@@ -164,52 +165,52 @@ def test_node_table_matches_brute_force(cases):
             assert len(minimal) == 1
             got = minimal[0]
             want.append((len(a), len(b), g.mask_of(got), (g.n + 1) * best + len(got)))
-        table = _pinned_minimizers(_scaled_table(oracle, ring), g.n, d)
+        table = _node_table(oracle, ring, d)
         assert _rows_by_sizes(table) == sorted(want)
 
 
-# (lowest member value, member span): the sweeps run in the narrowest of
-# uint16 / uint32 / uint64 whose top value, which marks the holes, exceeds
-# the span, so spans of 2**16 - 2 / 2**16 - 1 and 2**32 - 2 / 2**32 - 1
-# sit on either side of a width change.
-SPANS = (
-    (0, 3),
-    (0, 2**16 - 2),
-    (0, 2**16 - 1),
-    (0, 2**32 - 2),
-    (0, 2**32 - 1),
-    (1 - _SENTINEL, 2 * _SENTINEL - 2),
-    (70_000, 3),
-    (-1_000, 7),
+# (cell width, base): tables of unsigned cells in each sweep width, with
+# rows' g = cell + base in int64.  At uint64 a member cell at top - 1 only
+# fits int64 with base = -2**63.
+CELL_TABLES = (
+    (np.uint16, 0),
+    (np.uint16, -1_000),
+    (np.uint16, 70_000),
+    (np.uint32, 0),
+    (np.uint64, -(2**63)),
 )
 
 
 def _any_tables(rng):
-    """Tables with ties and 30 % holes whose members span exactly each of
-    ``SPANS``, for n = 0 ... 8, then all-hole tables."""
-    for low, span in SPANS:
-        values = low + np.array([0, 1, 2, span - 1, span], dtype=np.int64)
+    """Cell tables with ties and 30 % holes (cells at the width's top)
+    and a member cell at top - 1, in each of ``CELL_TABLES``, for
+    n = 0 ... 8, then all-hole tables in each width."""
+    for width, base in CELL_TABLES:
+        top = np.iinfo(width).max
+        values = np.array([0, 1, 2, top - 2, top - 1], dtype=width)
         for n in range(9):
-            g = rng.choice(values, size=1 << n)
-            g[rng.random(1 << n) < 0.3] = _SENTINEL
+            cells = rng.choice(values, size=1 << n)
+            cells[rng.random(1 << n) < 0.3] = top
             ends = rng.choice(1 << n, size=min(2, 1 << n), replace=False)
-            g[ends] = (low, low + span)[: len(ends)]
-            yield n, g
-    for n in range(5):
-        yield n, np.full(1 << n, _SENTINEL, dtype=np.int64)
+            cells[ends] = np.array((0, top - 1), dtype=width)[: len(ends)]
+            yield n, cells, base
+    for width, base in CELL_TABLES:
+        for n in range(5):
+            yield n, np.full(1 << n, np.iinfo(width).max, dtype=width), base
 
 
 def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     """On tables with ties and holes, where the minimizer need not be
     unique, the node table has one row per pair whose interval [A, N - B]
-    holds a cell below ``_SENTINEL``, and none for an interval of holes.
-    Each row's g is the least cell of its interval, and its set is the
-    argmin there that is greatest in bit-reversed order, as the walk
-    decides bit 0 first.  Depths run past n, so every level of the sweep
-    is reached and chunks are walked both full and part-filled; the spans
-    reach every sweep width."""
+    holds a cell below the width's top, and none for an interval of
+    holes.  Each row's g is base plus the least cell of its interval, and
+    its set is the argmin there that is greatest in bit-reversed order, as
+    the walk decides bit 0 first.  Depths run past n, so every level of
+    the sweep is reached and chunks are walked both full and part-filled;
+    the tables reach every sweep width, each with a member at top - 1."""
     rng = np.random.default_rng(35)
-    for n, g in _any_tables(rng):
+    for n, cells, base in _any_tables(rng):
+        top = np.iinfo(cells.dtype).max
         d = int(rng.integers(0, n + 2))
         masks = np.arange(1 << n)
         reversed_masks = sum(((masks >> i) & 1) << (n - 1 - i) for i in range(n))
@@ -217,15 +218,15 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
         a = np.array([sum(1 << i for i in p) for p, _ in pairs], dtype=np.int64)[:, None]
         b = np.array([sum(1 << i for i in q) for _, q in pairs], dtype=np.int64)[:, None]
         inside = ((masks & a) == a) & ((masks & b) == 0)
-        low = np.where(inside, g, _SENTINEL).min(axis=1)
-        ties = inside & (g == low[:, None])
+        low = np.where(inside, cells, top).min(axis=1)
+        ties = inside & (cells == low[:, None])
         pick = masks[np.where(ties, reversed_masks, -1).argmax(axis=1)]
         want = sorted(
-            (len(p), len(q), int(s), int(v))
+            (len(p), len(q), int(s), int(v) + base)
             for (p, q), s, v in zip(pairs, pick, low)
-            if v != _SENTINEL
+            if v != top
         )
-        assert _rows_by_sizes(_pinned_minimizers(g.copy(), n, d)) == want
+        assert _rows_by_sizes(_pinned_minimizers(cells.copy(), base, n, d)) == want
 
 
 def test_a_solve_leaves_no_garbage_cycle():
@@ -362,21 +363,16 @@ def test_enum_matches_exhaustive_on_random_instances():
 
 
 @pytest.mark.parametrize(
-    "scale, spans",
-    [(1, (0, 2**16 - 1)), (2**16, (2**16 - 1, 2**32 - 1)), (2**36, (2**32 - 1, 2**62))],
+    "scale, width",
+    [(1, np.uint16), (2**16, np.uint32), (2**36, np.uint64)],
     ids=["uint16", "uint32", "uint64"],
 )
-def test_solves_match_the_reference_at_every_sweep_width(scale, spans):
-    """Weights scaled so that every scaled table's member span falls in
-    ``spans``, which selects one sweep width: ``enum_solve`` matches the
-    exhaustive reference and a proper cut matches a brute-force scan, in
-    value and in the (cardinality, lex) first optimal set."""
+def test_solves_match_the_reference_at_every_sweep_width(scale, width):
+    """Weights scaled so that every node table is swept in ``width``:
+    ``enum_solve`` matches the exhaustive reference and a proper cut
+    matches a brute-force scan, in value and in the (cardinality, lex)
+    first optimal set."""
     rng = np.random.default_rng(49)
-
-    def span(oracle, ring):
-        g = _scaled_table(oracle, ring)
-        g = g[g != _SENTINEL]
-        return g.max() - g.min()
 
     for _ in range(10):
         n = int(rng.integers(3, 11))
@@ -395,13 +391,13 @@ def test_solves_match_the_reference_at_every_sweep_width(scale, spans):
         ring = random_ring(rng, ground, lattice_prob=0.5)
         cut = SubmodularOracle(ground, CutUndirected(edges))
         for oracle in (SubmodularOracle(ground, Modular(weights)), cut):
-            assert spans[0] <= span(oracle, ring) < spans[1]
+            assert _scaled_cells(oracle, ring)[0].dtype == width
             sol = enum_solve(oracle, ring, constraint)
             truth = exhaustive_solve(oracle, ring, constraint)
             assert sol.guaranteed and sol.value == truth.optimum
             if sol.best is not None:
                 assert sol.best == min(truth.all_minimal_optima, key=card_lex)
-        assert spans[0] <= span(cut, RingFamily.full(ground)) < spans[1]
+        assert _scaled_cells(cut, RingFamily.full(ground))[0].dtype == width
         solution = solve_cut(CutProblem(labels, edges, False, constraint, proper=True))
         trivial = (frozenset(), frozenset(labels))
         best, optima = brute_constrained_min(
@@ -412,6 +408,49 @@ def test_solves_match_the_reference_at_every_sweep_width(scale, spans):
         assert solution.guaranteed and solution.value == best
         if best is not None:
             assert solution.best == min(optima, key=card_lex)
+
+
+@pytest.mark.parametrize(
+    "n, weight, width",
+    [
+        (2, 21_844, np.uint16),
+        (1, 2**15 - 1, np.uint32),
+        (2, 1_431_655_764, np.uint32),
+        (1, 2**31 - 1, np.uint64),
+    ],
+    ids=["2**16-2", "2**16-1", "2**32-2", "2**32-1"],
+)
+def test_sweep_width_is_the_first_whose_top_exceeds_the_scaled_range(n, weight, width):
+    """With f = weight * [x0 in S], (n + 1)(hi - lo) + n is the greatest
+    cell, at the full set, and the ids give it: one below a width's top
+    keeps that width and the top itself takes the next.  The rows of all
+    pairs, the full set's included, are the pinned sides A themselves."""
+    labels = tuple(f"x{i}" for i in range(n))
+    oracle = SubmodularOracle(GroundSet(labels), Modular({"x0": weight}))
+    ring = RingFamily.full(oracle.ground)
+    assert _scaled_cells(oracle, ring)[0].dtype == width
+    want = sorted(
+        (len(a), len(b), sum(1 << i for i in a), (n + 1) * weight * (0 in a) + len(a))
+        for a, b in candidate_pairs(n, n)
+    )
+    assert _rows_by_sizes(_node_table(oracle, ring, n)) == want
+
+
+def test_node_table_builds_no_int64_table_of_g():
+    """With the value table built, the node table of a cut at n = 16,
+    d = 1 peaks below 8 bytes a cell, the feasibility table included: the
+    cells are written in their sweep width, with no 2**n int64 table of
+    g = (n + 1) f + |S| in between."""
+    n = 16
+    instance = random_instance(np.random.default_rng(50), "cut", n, 2)
+    instance.oracle.value_table()
+    tracemalloc.start()
+    try:
+        _node_table(instance.oracle, instance.ring, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << n
 
 
 def test_enum_matches_exhaustive_on_generalized_instances():

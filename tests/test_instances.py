@@ -259,6 +259,47 @@ def test_numbers_must_be_json_integers(payload):
         instance_from_dict(payload)
 
 
+_MODULAR = {"type": "modular", "weights": {"a": 1}}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(_base(_MODULAR, lattice={"forced_out": "ab"}), id="forced-out"),
+        pytest.param(_base(_MODULAR, lattice={"implications": "ab"}), id="implications"),
+        pytest.param(_base(_MODULAR, lattice={"implications": ["ab"]}), id="implication"),
+        pytest.param(
+            _base({"type": "coverage", "covered_sets": {"a": "xy"}}), id="covered-set"
+        ),
+        pytest.param(
+            _base({"type": "explicit_table", "values": [["ab", 0]]}), id="table-entry-set"
+        ),
+        pytest.param(
+            _base(
+                _MODULAR,
+                constraint={
+                    "type": "generalized",
+                    "modulus": 2,
+                    "terms": [{"set": "ab", "residue": 0}],
+                },
+            ),
+            id="generalized-set",
+        ),
+        pytest.param(
+            _base(
+                _MODULAR, constraint={"type": "tcut", "set": "ab", "modulus": 2, "residue": 0}
+            ),
+            id="tcut-set",
+        ),
+    ],
+)
+def test_label_lists_must_be_json_lists(payload):
+    """A string where a list of labels is meant is refused rather than
+    split into one-letter labels."""
+    with pytest.raises(InputError, match="must be a JSON list"):
+        instance_from_dict(payload)
+
+
 def test_strict_keys_everywhere():
     with pytest.raises(InputError, match="unknown keys"):
         instance_from_dict(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ccsm.enumeration import _pinned_minimizers, _scaled_table
+from ccsm.enumeration import _node_table
 from ccsm.families import random_oracle, random_ring
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
@@ -22,7 +22,7 @@ CYCLE4 = tuple((u, v, 1) for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", 
 
 def _minimal_min(oracle, ring):
     """(minimizer, value), or None where the ring is empty."""
-    table = _pinned_minimizers(_scaled_table(oracle, ring), oracle.ground.n, 0)
+    table = _node_table(oracle, ring, 0)
     if len(table.setmask) == 0:
         return None
     best = oracle.ground.set_of(int(table.setmask[0]))
