@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -20,13 +19,12 @@ from .enumeration import EnumSolution, enum_solve, pair_count
 from .errors import InputError, InternalInconsistencyError, UnsupportedSizeError
 from .families import random_closed_covering_system, random_instance, tight_depth_instance
 from .ground import GroundSet
-from .instances import Instance, json_labels, load_instance
-from .reference import OracleResult, exhaustive_solve
+from .instances import json_labels, load_instance, read_json
+from .reference import exhaustive_solve
 from .systems import (
     SetSystem,
     check_md_system,
     check_mkd_system,
-    construct_mm2_system,
     frankl_wilson_check,
     inclusion_exclusion_check,
     search_md_system,
@@ -37,7 +35,6 @@ from .transforms import (
     GeneralizedProduct,
     Power,
     PrimePower,
-    Sum,
     apply_transform,
     binom_mod_check,
     g_value,
@@ -65,24 +62,27 @@ def _ordered_labels(ground: GroundSet, subset: frozenset[str]) -> list[str]:
     return [e for e in ground.elements if e in subset]
 
 
-def _solution_payload(solution: EnumSolution, ground: GroundSet) -> dict:
-    return {
-        "value": solution.value,
-        "set": None if solution.best is None else _ordered_labels(ground, solution.best),
-        "depth": solution.depth,
-        "sfm_calls": solution.sfm_calls,
-        "skipped_empty": solution.skipped_empty,
-        "guaranteed": solution.guaranteed,
-    }
+def _report_solution(solution: EnumSolution, ground: GroundSet) -> int:
+    """Warn when the answer carries no guarantee, emit it, and give its exit code."""
+    if not solution.guaranteed:
+        _note("warning: no exactness guarantee for this modulus/depth combination")
+    _emit(
+        {
+            "value": solution.value,
+            "set": None if solution.best is None else _ordered_labels(ground, solution.best),
+            "depth": solution.depth,
+            "sfm_calls": solution.sfm_calls,
+            "skipped_empty": solution.skipped_empty,
+            "guaranteed": solution.guaranteed,
+        }
+    )
+    return EXIT_OK if solution.best is not None else EXIT_NONE
 
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     solution = enum_solve(instance.oracle, instance.ring, instance.constraint, args.depth)
-    if not solution.guaranteed:
-        _note("warning: no exactness guarantee for this modulus/depth combination")
-    _emit(_solution_payload(solution, instance.ground))
-    return EXIT_OK if solution.best is not None else EXIT_NONE
+    return _report_solution(solution, instance.ground)
 
 
 def _cmd_oracle(args) -> int:
@@ -101,10 +101,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _load_label_lists(path: str) -> list[list[str]]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read label lists from {path}: {exc}") from None
+    payload = read_json(path, f"label list file {path}")
     if isinstance(payload, dict) and "sets" in payload:
         payload = payload["sets"]
     entries = json_labels(payload, f"the label lists in {path}")
@@ -112,11 +109,7 @@ def _load_label_lists(path: str) -> list[list[str]]:
 
 
 def _cmd_solve_cut(args) -> int:
-    try:
-        payload = json.loads(Path(args.graph).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read graph file: {exc}") from None
-    vertices, edges, directed = load_graph(payload)
+    vertices, edges, directed = load_graph(read_json(args.graph, "graph file"))
     if args.mode == "congruency":
         if args.m is None or args.r is None:
             raise InputError("congruency mode needs --m and --r")
@@ -128,18 +121,11 @@ def _cmd_solve_cut(args) -> int:
         mode = TSetEven(tsets) if args.mode == "tset_even" else TSetOdd(tsets)
     problem = CutProblem(vertices, edges, directed, mode, proper=args.proper)
     solution = solve_cut(problem, depth=args.depth)
-    if not solution.guaranteed:
-        _note("warning: no exactness guarantee for this modulus/depth combination")
-    _emit(_solution_payload(solution, GroundSet(vertices)))
-    return EXIT_OK if solution.best is not None else EXIT_NONE
+    return _report_solution(solution, GroundSet(vertices))
 
 
 def _load_system(path: str) -> SetSystem:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read system file: {exc}") from None
-    return SetSystem.from_dict(payload)
+    return SetSystem.from_dict(read_json(path, "system file"))
 
 
 def _cmd_verify_system(args) -> int:
@@ -288,12 +274,8 @@ def _cmd_bench(args) -> int:
     for trial in range(args.trials):
         if args.family == "sec6":
             instance = tight_depth_instance(args.m)
-        elif args.family == "random-cut":
-            instance = random_instance(rng, "cut", args.n, args.m)
-        elif args.family == "random-modular":
-            instance = random_instance(rng, "modular", args.n, args.m)
         else:
-            raise InputError(f"unknown bench family {args.family!r}")
+            instance = random_instance(rng, args.family.removeprefix("random-"), args.n, args.m)
         solution = enum_solve(instance.oracle, instance.ring, instance.constraint)
         truth = exhaustive_solve(instance.oracle, instance.ring, instance.constraint)
         agree = solution.value == truth.optimum

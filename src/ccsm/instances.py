@@ -202,14 +202,21 @@ def instance_from_dict(payload: dict) -> Instance:
     return Instance(oracle, ring, constraint)
 
 
-def load_instance(path: str | Path) -> Instance:
+def read_json(path: str | Path, what: str):
+    """The JSON document in the UTF-8 file at ``path``; ``what`` names the
+    file in the ``InputError`` raised when it cannot be read or parsed.
+    ``ValueError`` covers both a syntax error and bytes that are not UTF-8;
+    ``RecursionError`` is the parser's answer to nesting too deep."""
     try:
-        payload = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise InputError(f"cannot read instance file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"instance file is not valid JSON: {exc}") from None
-    return instance_from_dict(payload)
+        raise InputError(f"cannot read {what}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what} is not valid JSON: {exc}") from None
+
+
+def load_instance(path: str | Path) -> Instance:
+    return instance_from_dict(read_json(path, "instance file"))
 
 
 def instance_to_dict(instance: Instance) -> dict:

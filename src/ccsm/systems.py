@@ -7,17 +7,22 @@ pair-enumeration depth, so this module provides checkers, a classical
 construction, an exhaustive search, and two certified impossibility
 checks that raise ``InternalInconsistencyError`` when a theorem-breaking
 family is presented.
+
+One checker, ``check_mkd_system``, states the three properties over a
+list of factor sets; an (m, d)-system is an (m, k, d)-system over the
+single factor set N, so ``check_md_system`` and ``search_md_system``
+read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalInconsistencyError
-from .ground import GroundSet, iter_bits, popcount
+from .ground import GroundSet, popcount
 from .constraints import is_prime_power
 from .instances import json_labels
 
@@ -102,23 +107,14 @@ def check_md_system(system: SetSystem, m: int, d: int) -> SystemVerdict:
 
     A valid system is intersection-closed, every member size differs from
     the ground-set size modulo m, and every subset of size at most d lies
-    inside some member (so the family cannot be empty once d >= 0).
+    inside some member (so the family cannot be empty once d >= 0).  This
+    is ``check_mkd_system`` with the single factor set N; a
+    ``member_residue`` witness names the member alone.
     """
-    if m < 1:
-        raise InputError(f"modulus must be >= 1, got {m}")
-    if d < 0:
-        raise InputError(f"covering size must be >= 0, got {d}")
-    wit = _first_missing_intersection(system)
-    if wit is not None:
-        return SystemVerdict(False, "intersection_closed", wit)
-    n_mod = system.ground.n % m
-    for h in system.sets:
-        if popcount(h) % m == n_mod:
-            return SystemVerdict(False, "member_residue", (system.labels(h),))
-    wit = _first_uncovered(system, d)
-    if wit is not None:
-        return SystemVerdict(False, "covering", wit)
-    return SystemVerdict(True)
+    verdict = check_mkd_system(system, m, d, [system.ground.elements])
+    if verdict.failed == "member_residue":
+        return replace(verdict, witness=verdict.witness[:1])
+    return verdict
 
 
 def check_mkd_system(
@@ -212,13 +208,9 @@ def inclusion_exclusion_check(system: SetSystem, p: int, r: int) -> SystemVerdic
     for h in system.sets:
         if popcount(h) % p != r:
             return SystemVerdict(False, "member_residues", (system.labels(h),))
-    union = 0
-    for h in system.sets:
-        union |= h
-    if union != system.ground.full_mask:
-        missing = system.ground.full_mask & ~union
-        lab = system.ground.elements[next(iter_bits(missing))]
-        return SystemVerdict(False, "covering", (lab,))
+    wit = _first_uncovered(system, 1)
+    if wit is not None:
+        return SystemVerdict(False, "covering", wit)
     raise InternalInconsistencyError(
         "an intersection-closed covering family with uniform member residue "
         f"{r} mod {p} on a ground set of size {system.ground.n} cannot exist"
@@ -277,10 +269,10 @@ def search_md_system(m: int, d: int, n: int, generator_budget: int) -> SetSystem
     """Exhaustively look for a valid system generated by few sets.
 
     Tries every selection of up to ``generator_budget`` candidate members,
-    closes it under intersection, and checks the residue and covering
-    properties.  Candidates are restricted to masks whose size already
-    avoids n mod m, since no member may match it.  Returns the first hit
-    in a deterministic (budget, then lexicographic) order, or None.
+    closes it under intersection, and returns the first closure that
+    ``check_md_system`` accepts, in a deterministic (budget, then
+    lexicographic) order, or None.  Candidates are restricted to masks
+    whose size already avoids n mod m, since no member may match it.
     """
     if m < 1 or d < 0 or n < 0:
         raise InputError("need m >= 1, d >= 0 and n >= 0")
@@ -311,9 +303,6 @@ def search_md_system(m: int, d: int, n: int, generator_budget: int) -> SetSystem
             if any(popcount(h) % m == n_mod for h in family):
                 continue
             system = SetSystem(ground, tuple(sorted(family)))
-            if _first_uncovered(system, d) is not None:
-                continue
-            verdict = check_md_system(system, m, d)
-            assert verdict.ok, verdict
-            return system
+            if check_md_system(system, m, d).ok:
+                return system
     return None

@@ -10,12 +10,15 @@ covering budget.
 The prime-power kind combines binomial transforms so that, for
 m = p**alpha, g(x) is divisible by p exactly when x is divisible by m.
 That conversion is what turns a family avoiding residues mod a prime
-power into one avoiding residues mod a prime.
+power into one avoiding residues mod a prime.  The mix is written once,
+as the (k, copies) pairs of ``_primepower_mix``; ``g_value`` sums it in
+closed form and ``_build_elements`` builds it as a ``Sum`` of binomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import comb, prod
 from typing import Iterable
@@ -101,13 +104,12 @@ class GeneralizedProduct:
 TransformKind = Constant | Power | Binomial | Sum | PrimePower | GeneralizedProduct
 
 
-def _primepower_parts(m: int) -> tuple[Binomial, ...]:
+@cache
+def _primepower_mix(m: int) -> tuple[tuple[int, int], ...]:
+    """The prime-power transform for m = p**alpha as (k, copies) pairs:
+    C(x, k) once for odd k and p - 1 times for even k, k = 1 .. m - 1."""
     p, _ = is_prime_power(m)
-    parts: list[Binomial] = []
-    for k in range(1, m):
-        copies = 1 if k % 2 == 1 else p - 1
-        parts.extend(Binomial(k) for _ in range(copies))
-    return tuple(parts)
+    return tuple((k, 1 if k % 2 == 1 else p - 1) for k in range(1, m))
 
 
 def level(kind: TransformKind) -> int:
@@ -149,12 +151,7 @@ def g_value(kind: TransformKind, x) -> int:
     if isinstance(kind, Sum):
         return sum(g_value(p, x) for p in kind.parts)
     if isinstance(kind, PrimePower):
-        p, _ = is_prime_power(kind.modulus)
-        total = 0
-        for k in range(1, kind.modulus):
-            copies = 1 if k % 2 == 1 else p - 1
-            total += copies * comb(x, k)
-        return total
+        return sum(copies * comb(x, k) for k, copies in _primepower_mix(kind.modulus))
     raise InputError(f"unknown transform kind {kind!r}")
 
 
@@ -194,9 +191,10 @@ def _build_elements(kind: TransformKind, ground: GroundSet) -> list[tuple[str, i
     n = ground.n
     if isinstance(kind, Constant):
         return [(f"c{i}", 0) for i in range(1, kind.size + 1)]
-    if isinstance(kind, Power):
+    if isinstance(kind, (Power, GeneralizedProduct)):
+        factors = (ground.elements,) * kind.exponent if isinstance(kind, Power) else kind.factors
         out = []
-        for tup in product(range(n), repeat=kind.exponent):
+        for tup in product(*(sorted(ground.index(lab) for lab in f) for f in factors)):
             label = "(" + ",".join(ground.elements[i] for i in tup) + ")"
             out.append((label, sum(1 << i for i in set(tup))))
         return out
@@ -213,24 +211,27 @@ def _build_elements(kind: TransformKind, ground: GroundSet) -> list[tuple[str, i
                 out.append((f"{tag}:{label}", wit))
         return out
     if isinstance(kind, PrimePower):
-        return _build_elements(Sum(_primepower_parts(kind.modulus)), ground)
-    if isinstance(kind, GeneralizedProduct):
-        factor_idx = [sorted(ground.index(lab) for lab in f) for f in kind.factors]
-        out = []
-        for tup in product(*factor_idx):
-            label = "(" + ",".join(ground.elements[i] for i in tup) + ")"
-            out.append((label, sum(1 << i for i in set(tup))))
-        return out
+        mix = _primepower_mix(kind.modulus)
+        return _build_elements(Sum(tuple(Binomial(k) for k, c in mix for _ in range(c))), ground)
     raise InputError(f"unknown transform kind {kind!r}")
 
 
+def _target_size(kind: TransformKind, n: int) -> int:
+    """Size of the target on an n-element ground set, known before it is built."""
+    if isinstance(kind, Sum):
+        return sum(_target_size(part, n) for part in kind.parts)
+    if isinstance(kind, GeneralizedProduct):
+        return prod(len(f) for f in kind.factors)
+    return g_value(kind, n)
+
+
 def apply_transform(kind: TransformKind, ground: GroundSet) -> SetTransform:
-    """Materialize the transform for a ground set; target size is capped."""
+    """Materialize the transform for a ground set; a target above the cap
+    is refused before it is built."""
+    size = _target_size(kind, ground.n)
+    if size > _MAX_TARGET:
+        raise InputError(f"transform target would have {size} elements, cap is {_MAX_TARGET}")
     elems = _build_elements(kind, ground)
-    if len(elems) > _MAX_TARGET:
-        raise InputError(
-            f"transform target would have {len(elems)} elements, cap is {_MAX_TARGET}"
-        )
     target = GroundSet(tuple(lab for lab, _ in elems))
     return SetTransform(
         kind=kind,

@@ -116,6 +116,40 @@ def test_solve_input_errors_exit_two(capsys, tmp_path):
     assert "not submodular" in err
 
 
+_FILE_FLAGS = [
+    ("solve", "--instance", "{bad}"),
+    ("oracle", "--instance", "{bad}"),
+    ("solve-cut", "--graph", "{bad}", "--mode", "congruency", "--m", "2", "--r", "1"),
+    ("solve-cut", "--graph", "{graph}", "--mode", "tset_odd", "--tsets", "{bad}"),
+    ("verify-system", "--system", "{bad}", "--m", "2", "--d", "1"),
+    ("verify-system", "--system", "{system}", "--m", "2", "--d", "1", "--sets", "{bad}"),
+    ("transform", "--kind", "power", "--system", "{bad}"),
+    ("transform", "--kind", "genproduct", "--n", "3", "--sets", "{bad}"),
+]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"{oops", b"[" * 100_000 + b"]" * 100_000, None],
+    ids=["not-utf8", "not-json", "too-deep", "missing"],
+)
+@pytest.mark.parametrize(
+    "argv", _FILE_FLAGS, ids=lambda argv: argv[0] + argv[argv.index("{bad}") - 1]
+)
+def test_unreadable_files_exit_two(capsys, tmp_path, triangle_file, argv, content):
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_bytes(content)
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(construct_mm2_system(3).to_dict()))
+    paths = {"bad": str(bad), "graph": triangle_file, "system": str(system)}
+    rc = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 _AB = ["a", "b"]
 _MODULAR_AB = {"type": "modular", "weights": {"a": 1}}
 

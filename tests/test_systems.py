@@ -152,6 +152,72 @@ def test_check_mkd_vector_residues():
     assert verdict.failed == "member_residue"
 
 
+def _naive_mkd(system, m, d, factors):
+    """(ok, failed, witness) of the (m, k, d)-system check, read off the
+    definitions over label sets."""
+    ground = system.ground
+
+    def ordered(labels):
+        return tuple(e for e in ground.elements if e in labels)
+
+    members = [ground.set_of(h) for h in system.sets]
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if a & b not in members:
+                return False, "intersection_closed", (ordered(a), ordered(b))
+    factor_sets = [frozenset(f) for f in factors]
+    target = tuple(len(f) % m for f in factor_sets)
+    for h in members:
+        vec = tuple(len(h & f) % m for f in factor_sets)
+        if vec == target:
+            return False, "member_residue", (ordered(h), vec)
+    for size in range(d + 1):
+        for sub in combinations(ground.elements, size):
+            if not any(set(sub) <= h for h in members):
+                return False, "covering", sub
+    return True, None, None
+
+
+def _closed(sets):
+    while True:
+        extra = {a & b for a in sets for b in sets} - sets
+        if not extra:
+            return sets
+        sets |= extra
+
+
+def test_check_mkd_matches_naive_predicate_with_random_factor_sets():
+    rng = np.random.default_rng(13)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(0, 7))
+        ground = GroundSet(tuple(str(i) for i in range(1, n + 1)))
+        sets = {int(rng.integers(0, ground.full_mask + 1)) for _ in range(int(rng.integers(0, 6)))}
+        if rng.random() < 0.6:
+            sets = _closed(sets)
+        order = sorted(sets)
+        rng.shuffle(order)
+        system = SetSystem(ground, tuple(int(h) for h in order))
+        m = int(rng.integers(1, 6))
+        d = int(rng.integers(0, 4))
+        factors = [
+            tuple(e for e in ground.elements if rng.random() < 0.5)
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        verdict = check_mkd_system(system, m, d, factors)
+        assert (verdict.ok, verdict.failed, verdict.witness) == _naive_mkd(system, m, d, factors)
+        seen.add(verdict.failed)
+
+        over_n = check_mkd_system(system, m, d, [ground.elements])
+        md = check_md_system(system, m, d)
+        assert (md.ok, md.failed) == (over_n.ok, over_n.failed)
+        if md.failed == "member_residue":
+            assert md.witness == over_n.witness[:1]
+        else:
+            assert md.witness == over_n.witness
+    assert seen == {None, "intersection_closed", "member_residue", "covering"}
+
+
 def test_atoms_frozen_examples():
     assert atoms(SetSystem(ABC, ())) == (frozenset({"a", "b", "c"}),)
     got = atoms(SetSystem.from_labels(ABC, [("a",)]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -159,6 +160,42 @@ def test_apply_transform_respects_target_cap():
     g = GroundSet(tuple(f"v{i}" for i in range(6)))
     with pytest.raises(InputError):
         apply_transform(Power(8), g)
+
+
+def _labels(n):
+    return GroundSet(tuple(f"e{i}" for i in range(1, n + 1)))
+
+
+@pytest.mark.parametrize(
+    "kind, n, size",
+    [
+        (Constant(200_001), 0, 200_001),
+        (Power(4), 22, 22**4),
+        (Binomial(5), 32, comb(32, 5)),
+        (PrimePower(5), 35, 35 + 4 * comb(35, 2) + comb(35, 3) + 4 * comb(35, 4)),
+        (Sum((Binomial(2), Power(3))), 60, comb(60, 2) + 60**3),
+        (GeneralizedProduct(tuple(frozenset(_labels(60).elements) for _ in range(3))), 60, 60**3),
+    ],
+    ids=["constant", "power", "binomial", "primepower", "sum", "genproduct"],
+)
+def test_an_oversized_target_is_refused_before_it_is_built(kind, n, size):
+    assert size > 200_000
+    ground = _labels(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"would have {size} elements, cap is 200000"):
+            apply_transform(kind, ground)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_sum_holding_a_generalized_product_builds_below_the_cap():
+    kind = Sum((GeneralizedProduct((frozenset({"a"}), frozenset({"b", "c"}))), Constant(1)))
+    tr = apply_transform(kind, ABC)
+    assert tr.target.elements == ("0:(a,b)", "0:(a,c)", "1:c1")
+    assert tr.image(("a", "b")) == frozenset({"0:(a,b)", "1:c1"})
 
 
 def test_transform_system_collapses_duplicate_images():
