@@ -31,6 +31,20 @@ for every pair, in ``_pinned_minimizers``:
   commute and the 0-half at p is untouched by sweeps of other positions,
   so the child starts from a table already swept below p and sweeps only
   the positions above.  Every B thus shares the sweeps of its prefix;
+- runs: a level-j table's sweep of position p and its child copy pair
+  runs of w = 2**(p - j) contiguous cells, and numpy's inner loop spans
+  one run.  Narrow runs thus cost far more a cell than wide ones.  Where
+  w <= 8 and the table holds at least 2**15 cells, both run once per
+  column c < w instead, on 1-D strided views that span the table.  One
+  pass, in ns a cell (uint16, 2**15 ... 2**20 cells, 2-CPU VM):
+
+      w              1          2          4          8         16
+      whole view     0.32-0.39  3.9-4.3    2.0-2.3    1.1-1.2   0.56-0.64
+      by column      0.32-0.42  0.32-0.42  0.34-0.50  0.44-0.80 0.88-1.5
+
+  and 0.04-0.11 for the one call when a run spans half the table.  A
+  column call costs a few microseconds, so columns lose at w = 16 and
+  gain little at w = 8 below 2**15 cells;
 - walk: from each A whose cell is not a hole, add each free element whose
   cell still holds the interval minimum; the walk ends on the minimizer,
   then B's bits go back in.
@@ -161,7 +175,11 @@ def _pinned_minimizers(cells: np.ndarray, base: int, n: int, d: int) -> _NodeTab
     parent sweeps p, so it starts swept at every position below p and
     sweeps only those above: sum over j <= d of C(n, j + 1) 2**(n - j)
     cell updates in all.  Besides ``cells``, the sweep holds one chunk
-    of 2**n cells per level 1 ... d, in the cells' width.
+    of 2**n cells per level 1 ... d, in the cells' width.  The sweep and
+    the copy of a position whose runs hold w <= 8 cells, on a table of at
+    least 2**15 cells, loop over the w columns (``_columns``); elsewhere
+    they make one call on the whole view.  The module docstring gives
+    the measured cost a cell of both.
 
     Each chunk's walk returns its rows, and they are joined once at the
     end; the pairs of the walked chunks, empty ones included, must number
@@ -197,21 +215,32 @@ def _pinned_minimizers(cells: np.ndarray, base: int, n: int, d: int) -> _NodeTab
                 rows.append(_walk_chunk(chunks[j], n, j, starts[j], bsides[j], base, top))
             continue
         k = len(bsides[j])
-        halves = chunks[j][k << free : (k + 1) << free].reshape(-1, 2, 1 << (p - j))
+        w = 1 << (p - j)
+        halves = chunks[j][k << free : (k + 1) << free].reshape(-1, 2, w)
+        cols = _columns(w, free)
         stack.append((j, p + 1, b))
         if j < d:
             # B + p avoids p: its table is this table's 0-half at p, which
             # is already swept at every position below p.
             lo = len(bsides[j + 1]) << (free - 1)
-            child = chunks[j + 1][lo : lo + (1 << (free - 1))]
-            child.reshape(-1, 1 << (p - j))[:] = halves[:, 0]
+            child = chunks[j + 1][lo : lo + (1 << (free - 1))].reshape(-1, w)
+            for c in cols:
+                child[:, c] = halves[:, 0, c]
             stack.append((j + 1, p + 1, b | 1 << p))
-        np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 0])
+        for c in cols:
+            np.minimum(halves[:, 0, c], halves[:, 1, c], out=halves[:, 0, c])
     for j in range(d + 1):
         if bsides[j]:
             rows.append(_walk_chunk(chunks[j], n, j, starts[j], bsides[j], base, top))
     assert pairs == pair_count(n, d)
     return _NodeTable(*map(np.concatenate, zip(*rows)))
+
+
+def _columns(w: int, free: int) -> range | tuple[slice]:
+    """What a sweep or copy of a table of 2**``free`` cells in runs of
+    ``w`` contiguous cells loops over: each column c < w, or once the
+    whole view.  See the module docstring for the rule's timings."""
+    return range(w) if w <= 8 and free >= 15 else (slice(None),)
 
 
 def _walk_chunk(

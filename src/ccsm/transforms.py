@@ -290,7 +290,7 @@ def verify_transform(kind: TransformKind, n: int) -> TransformReport:
     images = [tr.image_mask(s) for s in range(full + 1)]
     for s in range(full + 1):
         checks += 1
-        if not _size_ok(kind, tr, ground, s, images[s]):
+        if popcount(images[s]) != _image_size(kind, ground, s):
             failures.append(f"image size off at subset mask {s}")
             break
     for s in range(full + 1):
@@ -308,11 +308,15 @@ def verify_transform(kind: TransformKind, n: int) -> TransformReport:
     return TransformReport(not failures, checks, tuple(failures))
 
 
-def _size_ok(kind, tr: SetTransform, ground: GroundSet, mask: int, image: int) -> bool:
+def _image_size(kind: TransformKind, ground: GroundSet, mask: int) -> int:
+    """The image size g predicts for the subset ``mask``: a sum adds its
+    parts' sizes, each read with its own argument, the per-factor
+    intersection sizes for a generalized product and |S| for the rest."""
+    if isinstance(kind, Sum):
+        return sum(_image_size(part, ground, mask) for part in kind.parts)
     if isinstance(kind, GeneralizedProduct):
-        xs = [popcount(mask & ground.mask_of(f)) for f in kind.factors]
-        return popcount(image) == g_value(kind, xs)
-    return popcount(image) == g_value(kind, popcount(mask))
+        return g_value(kind, [popcount(mask & ground.mask_of(f)) for f in kind.factors])
+    return g_value(kind, popcount(mask))
 
 
 @dataclass(frozen=True)

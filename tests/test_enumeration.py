@@ -16,6 +16,7 @@ from ccsm.constraints import (
 )
 from ccsm.cuts import CutProblem, solve_cut
 from ccsm.enumeration import (
+    _columns,
     _node_table,
     _pinned_minimizers,
     _scaled_cells,
@@ -199,6 +200,43 @@ def _any_tables(rng):
             yield n, np.full(1 << n, np.iinfo(width).max, dtype=width), base
 
 
+def _interval_rows(cells, base, n, d, batch=1 << 21):
+    """The node table's rows by brute force, sorted as ``_rows_by_sizes``
+    sorts them: per pair (A, B) whose interval [A, N - B] holds a cell
+    below the width's top, (|A|, |B|, argmin, base + minimum), where the
+    argmin is the one greatest in bit-reversed order.  The cells of each
+    interval are gathered by index, ``batch`` cells at a time."""
+    top = np.iinfo(cells.dtype).max
+    pairs = list(candidate_pairs(n, d))
+    want = []
+    # Pairs with equal |A| + |B| = u have intervals of 2**(n - u) cells.
+    # Column k of an interval is A plus the free bits picked by k's bits,
+    # the lowest free bit by k's top bit, so k orders the sets as their
+    # bit-reversed masks do and the pick is the last tie.
+    for u in range(min(n, 2 * d) + 1):
+        group = [(a, b) for a, b in pairs if len(a) + len(b) == u]
+        step = max(1, batch >> (n - u))
+        for at in range(0, len(group), step):
+            part = group[at : at + step]
+            idx = np.array([[sum(1 << i for i in a)] for a, _ in part], dtype=np.int32)
+            free = np.array(
+                [[i for i in range(n) if i not in a and i not in b] for a, b in part],
+                dtype=np.int32,
+            ).reshape(len(part), n - u)
+            for t in reversed(range(n - u)):
+                idx = np.concatenate([idx, idx | (1 << free[:, t : t + 1])], axis=1)
+            values = cells[idx]
+            low = values.min(axis=1)
+            last = (values == low[:, None])[:, ::-1].argmax(axis=1)
+            pick = idx[np.arange(len(part)), -1 - last]
+            want += [
+                (len(a), len(b), int(s), int(v) + base)
+                for (a, b), s, v in zip(part, pick, low)
+                if v != top
+            ]
+    return sorted(want)
+
+
 def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     """On tables with ties and holes, where the minimizer need not be
     unique, the node table has one row per pair whose interval [A, N - B]
@@ -210,23 +248,35 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     the tables reach every sweep width, each with a member at top - 1."""
     rng = np.random.default_rng(35)
     for n, cells, base in _any_tables(rng):
-        top = np.iinfo(cells.dtype).max
         d = int(rng.integers(0, n + 2))
-        masks = np.arange(1 << n)
-        reversed_masks = sum(((masks >> i) & 1) << (n - 1 - i) for i in range(n))
-        pairs = list(candidate_pairs(n, d))
-        a = np.array([sum(1 << i for i in p) for p, _ in pairs], dtype=np.int64)[:, None]
-        b = np.array([sum(1 << i for i in q) for _, q in pairs], dtype=np.int64)[:, None]
-        inside = ((masks & a) == a) & ((masks & b) == 0)
-        low = np.where(inside, cells, top).min(axis=1)
-        ties = inside & (cells == low[:, None])
-        pick = masks[np.where(ties, reversed_masks, -1).argmax(axis=1)]
-        want = sorted(
-            (len(p), len(q), int(s), int(v) + base)
-            for (p, q), s, v in zip(pairs, pick, low)
-            if v != top
-        )
+        want = _interval_rows(cells, base, n, d)
         assert _rows_by_sizes(_pinned_minimizers(cells.copy(), base, n, d)) == want
+
+
+@pytest.mark.parametrize("width", [np.uint16, np.uint32], ids=["uint16", "uint32"])
+def test_pinned_entries_attain_the_interval_minimum_on_large_tables(width):
+    """As above on tables of 2**15 and 2**16 cells, at d = 1 and 2, where
+    the sweep and the child copy of narrow runs go column by column."""
+    rng = np.random.default_rng(36)
+    top = np.iinfo(width).max
+    values = np.array([0, 1, 2, 3, top - 1], dtype=width)
+    for n in (15, 16):
+        cells = rng.choice(values, size=1 << n)
+        cells[rng.random(1 << n) < 0.3] = top
+        for d in (1, 2):
+            want = _interval_rows(cells, -7, n, d)
+            assert _rows_by_sizes(_pinned_minimizers(cells.copy(), -7, n, d)) == want
+
+
+def test_narrow_runs_of_large_tables_go_column_by_column():
+    """Runs of up to 8 cells on tables of at least 2**15 cells loop over
+    their columns; wider runs and smaller tables take one whole-view call."""
+    for w in (1, 2, 4, 8):
+        for free in (15, 16, 20):
+            assert _columns(w, free) == range(w)
+        assert _columns(w, 14) == (slice(None),)
+    for w in (16, 32, 1 << 19):
+        assert _columns(w, 20) == (slice(None),)
 
 
 def test_a_solve_leaves_no_garbage_cycle():
@@ -408,6 +458,57 @@ def test_solves_match_the_reference_at_every_sweep_width(scale, width):
         assert solution.guaranteed and solution.value == best
         if best is not None:
             assert solution.best == min(optima, key=card_lex)
+
+
+@pytest.mark.parametrize("family", ["cut", "cut_directed", "coverage"])
+def test_solves_above_the_column_rule_match_the_reference(family):
+    """At n = 16 the sweeps of narrow runs go column by column: the value
+    and the (cardinality, lex) first optimal set match the exhaustive
+    reference, and every inclusion-minimal optimum is a candidate.  Draws
+    whose optimum is missing or only the empty or the full set, as for a
+    cut on the full lattice at a residue of 0 or n, are drawn again."""
+    rng = np.random.default_rng(64)
+    for m in (2, 3):
+        while True:
+            instance = random_instance(rng, family, 16, m)
+            truth = exhaustive_solve(instance.oracle, instance.ring, instance.constraint)
+            if any(0 < len(s) < 16 for s in truth.all_minimal_optima):
+                break
+        sol = enum_solve(instance.oracle, instance.ring, instance.constraint)
+        card_lex = card_lex_key(instance.ground.elements)
+        assert sol.guaranteed and sol.value == truth.optimum
+        assert sol.best == min(truth.all_minimal_optima, key=card_lex)
+        assert set(truth.all_minimal_optima) <= set(sol.candidate_sets)
+
+
+def test_a_proper_cut_above_the_column_rule_matches_a_dense_scan():
+    """A proper cut at n = 16, m = 2 (a node table at depth 2) against a
+    scan of all 2**16 sets: value and (cardinality, lex) first optimum."""
+    rng = np.random.default_rng(65)
+    n = 16
+    labels = tuple(f"x{i}" for i in range(n))
+    edges = tuple(
+        (labels[i], labels[j], int(rng.integers(1, 10)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.3
+    )
+    masks = np.arange(1 << n)
+    value = np.zeros(1 << n, dtype=np.int64)
+    for u, v, w in edges:
+        value += w * (((masks >> labels.index(u)) ^ (masks >> labels.index(v))) & 1)
+    sizes = np.bitwise_count(masks)
+    for residue in (0, 1):
+        feasible = (sizes % 2 == residue) & (sizes > 0) & (sizes < n)
+        best = value[feasible].min()
+        optima = [
+            frozenset(labels[i] for i in range(n) if s >> i & 1)
+            for s in masks[feasible & (value == best)].tolist()
+        ]
+        constraint = CongruencyConstraint(2, residue)
+        solution = solve_cut(CutProblem(labels, edges, False, constraint, proper=True))
+        assert solution.guaranteed and solution.value == best
+        assert solution.best == min(optima, key=card_lex_key(labels))
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,14 @@ def test_verify_transform_exhaustive_passes():
     assert verify_transform(kind, 3).ok
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_verify_transform_accepts_a_sum_holding_a_generalized_product(n):
+    product = GeneralizedProduct((frozenset({"e1", "e2"}), frozenset({"e2", "e3"})))
+    kind = Sum((product, Binomial(1)))
+    report = verify_transform(kind, n)
+    assert report.ok, report.failures
+
+
 def test_verify_transform_refuses_more_than_eight_elements():
     with pytest.raises(InputError, match="n <= 8"):
         verify_transform(Power(2), 9)
