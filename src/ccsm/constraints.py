@@ -18,7 +18,8 @@ from typing import Callable, Iterable
 from .errors import InputError
 from .ground import GroundSet, popcount
 from .lattice import RingFamily
-from .oracles import SubmodularOracle, _Projected
+from .limits import require_exhaustible
+from .oracles import ExplicitTable, SubmodularOracle
 
 
 def is_prime_power(m: int) -> tuple[int, int] | None:
@@ -178,7 +179,9 @@ class TCutReduction:
     original by implications both ways.  Each clone tracks its original, so
     |S'| of a closed set equals |S & T| plus a multiple of the modulus, and
     the plain congruence on |S'| expresses the original constraint on
-    |S & T|.  ``project`` maps enlarged solutions back.
+    |S & T|.  ``oracle`` has a spec of the base's own kind on which the
+    clones change no value, so the reduced instance has a file form like
+    any other.  ``project`` maps enlarged solutions back.
     """
 
     oracle: SubmodularOracle
@@ -202,7 +205,11 @@ def tcut_reduce(
     For every element x outside T, m - 1 clones named ``x#1 .. x#{m-1}``
     are appended after the original elements and forced to take the same
     in/out state as x via a pair of implications.  The function value of an
-    enlarged set is the value of its original part.
+    enlarged set is the value of its original part: a modular, cut or
+    coverage spec names only original elements, so it is reused as it
+    stands, and an explicit table is repeated once for each of the
+    2**(n' - n) settings of the clones, which are the high bits of a mask.
+    That tiling needs n' within the exhaustive cap.
     """
     ground = ring.ground
     _check_residue(modulus, residue, "tcut")
@@ -229,7 +236,11 @@ def tcut_reduce(
         ring.forced_out,
         list(ring.implications) + clone_arcs,
     )
-    big_oracle = SubmodularOracle(big_ground, _Projected(oracle))
+    spec = oracle.spec
+    if isinstance(spec, ExplicitTable):
+        require_exhaustible(big_ground.n, "an explicit table on the enlarged ground")
+        spec = ExplicitTable(tuple(spec.values) * (1 << len(clones)))
+    big_oracle = SubmodularOracle(big_ground, spec)
     return TCutReduction(
         oracle=big_oracle,
         ring=big_ring,

@@ -6,14 +6,19 @@ integers throughout; every oracle also carries ``range_bound``, an upper
 bound on ``max |f|``.  Functions whose scaled values could pass
 ``limits._SENTINEL`` are refused with ``InputError``.
 
+``Modular``, ``CutUndirected`` and ``CutDirected`` specs compile to one
+pairwise energy f(S) = sum_i a_i x_i + sum_{j<i} b_ij x_i x_j with every
+b_ij <= 0 (a modular spec is the case b = 0), the form a graph
+construction for pinned minimizers reads (Kolmogorov & Zabih 2004).
 The dense table is built by bit doubling: the half of the table whose
-masks hold bit i is the lower half plus one cheap step (a weight for
-modular specs, a weight plus a modular row table for cuts, an OR for
-coverage), so a table over 2**n sets costs O(2**n) numpy work however
-many edges or items the spec has.  Every intermediate is at most
-3 * range_bound in absolute value, so the int64 arithmetic is exact.
-The scalar ``eval_mask`` follows the spec's definition directly and
-never reads the cached table, so it is the independent check on it.
+masks hold bit i is the lower half plus one cheap step (a_i plus the
+modular table of row b_i for the energy, an OR for coverage), so a table
+over 2**n sets costs O(2**n) numpy work however many edges or items the
+spec has.  Every intermediate is at most 3 * range_bound in absolute
+value, so the int64 arithmetic is exact.  The scalar ``eval_mask``
+follows the spec's definition (weights, edge lists, item sets) directly
+and never reads the compiled energy or the cached table, so it is the
+independent check on both.
 """
 
 from __future__ import annotations
@@ -63,18 +68,16 @@ class ExplicitTable:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Projected:
-    """Internal: f'(S) = base(S restricted to the base's elements).
-
-    The base's elements are the first ``base.ground.n`` elements of the
-    ground; the elements appended after them do not change the value.
-    """
-
-    base: "SubmodularOracle"
+FunctionSpec = Modular | CutUndirected | CutDirected | Coverage | ExplicitTable
 
 
-FunctionSpec = Modular | CutUndirected | CutDirected | Coverage | ExplicitTable | _Projected
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer, else
+    ``InputError``.  Bools, floats and strings are refused rather than cast:
+    ``int`` would truncate 1.9 to 1 and read ``"3"`` as 3."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_edge_list(ground: GroundSet, items, kind: str):
@@ -87,7 +90,7 @@ def _check_edge_list(ground: GroundSet, items, kind: str):
         iu, iv = ground.index(u), ground.index(v)
         if iu == iv:
             raise InputError(f"{kind} endpoints must differ, got loop at {u!r}")
-        w = int(w)
+        w = _integer(w, f"{kind} weight")
         if w < 0:
             raise InputError(f"{kind} weights must be nonnegative, got {w} on ({u!r}, {v!r})")
         out.append((iu, iv, w))
@@ -97,12 +100,22 @@ def _check_edge_list(ground: GroundSet, items, kind: str):
 _WORD = (1 << 64) - 1
 
 
-def _modular_table(weights: np.ndarray) -> np.ndarray:
-    """Table of sum(weights[i] for bits i of mask) over all 2**len(weights) masks."""
-    t = np.zeros(1 << len(weights), dtype=np.int64)
-    for i, w in enumerate(weights):
+def _energy_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Table of sum a_i x_i + sum_{j<i} b_ij x_i x_j over all 2**len(a) masks.
+
+    The upper half for bit i is the lower half plus a_i plus, where row
+    b_i is non-zero, the modular table of b_i over the bits below i.  With
+    b = 0 this is the plain modular table.
+    """
+    n = len(a)
+    t = np.zeros(1 << n, dtype=np.int64)
+    rows = b.any(axis=1)
+    for i in range(n):
         h = 1 << i
-        np.add(t[:h], w, out=t[h : 2 * h])
+        upper = t[h : 2 * h]
+        np.add(t[:h], a[i], out=upper)
+        if rows[i]:
+            upper += _energy_table(b[i, :i], np.zeros((i, i), dtype=np.int64))
     return t
 
 
@@ -127,17 +140,31 @@ class SubmodularOracle:
         if isinstance(spec, Modular):
             weights = [0] * n
             for lab, wt in spec.weights.items():
-                weights[ground.index(lab)] = int(wt)
+                weights[ground.index(lab)] = _integer(wt, "a modular weight")
             self._set_range_bound(sum(abs(w) for w in weights))
-            self._weights = np.array(weights, dtype=np.int64)
+            self._a = np.array(weights, dtype=np.int64)
+            self._b = np.zeros((n, n), dtype=np.int64)
         elif isinstance(spec, (CutUndirected, CutDirected)):
-            items = spec.edges if isinstance(spec, CutUndirected) else spec.arcs
+            undirected = isinstance(spec, CutUndirected)
+            items = spec.edges if undirected else spec.arcs
             triples = _check_edge_list(ground, items, type(spec).__name__)
             self._set_range_bound(sum(t[2] for t in triples))
             self._eu = np.array([t[0] for t in triples], dtype=np.int64)
             self._ev = np.array([t[1] for t in triples], dtype=np.int64)
             self._ew = np.array([t[2] for t in triples], dtype=np.int64)
+            # An edge uv of weight w adds w to a_u and a_v and -2w to b_uv;
+            # an arc u->v adds w to a_u and -w to b_uv.
+            self._a = np.zeros(n, dtype=np.int64)
+            self._b = np.zeros((n, n), dtype=np.int64)
+            np.add.at(self._a, self._eu, self._ew)
+            if undirected:
+                np.add.at(self._a, self._ev, self._ew)
+            hi, lo = np.maximum(self._eu, self._ev), np.minimum(self._eu, self._ev)
+            np.add.at(self._b, (hi, lo), -(1 + undirected) * self._ew)
         elif isinstance(spec, Coverage):
+            for lab, its in spec.covered_sets.items():
+                if isinstance(its, str):
+                    raise InputError(f"the items covered by {lab!r} must be a list, got {its!r}")
             items = sorted({it for its in spec.covered_sets.values() for it in its})
             item_index = {it: j for j, it in enumerate(items)}
             covers = [0] * n
@@ -149,18 +176,17 @@ class SubmodularOracle:
             self._n_items = len(items)
             self._set_range_bound(len(items))
         elif isinstance(spec, ExplicitTable):
-            try:
-                vals = np.asarray(spec.values, dtype=np.int64)
-            except OverflowError:
-                raise InputError("explicit table values must fit in int64") from None
+            vals = np.asarray(spec.values)
             if vals.shape != (1 << n,):
                 raise InputError(
                     f"explicit table needs exactly 2**n = {1 << n} values, got {vals.shape}"
                 )
+            if vals.dtype.kind not in "iu":
+                raise InputError(
+                    f"explicit table values must be integers that fit in int64, got {vals.dtype}"
+                )
             self._set_range_bound(max(int(vals.max()), -int(vals.min())))
-            self._table = vals
-        elif isinstance(spec, _Projected):
-            self._set_range_bound(spec.base.range_bound)
+            self._table = vals.astype(np.int64, copy=False)
         else:
             raise InputError(f"unknown function spec {spec!r}")
 
@@ -191,7 +217,8 @@ class SubmodularOracle:
         if isinstance(spec, ExplicitTable):
             return int(spec.values[mask])
         if isinstance(spec, Modular):
-            return int(sum(int(self._weights[i]) for i in iter_bits(mask)))
+            ground = self.ground
+            return sum(int(w) for lab, w in spec.weights.items() if (mask >> ground.index(lab)) & 1)
         if isinstance(spec, CutUndirected):
             total = 0
             for u, v, w in zip(self._eu, self._ev, self._ew):
@@ -209,8 +236,6 @@ class SubmodularOracle:
             for i in iter_bits(mask):
                 covered |= self._covers[i]
             return covered.bit_count()
-        if isinstance(spec, _Projected):
-            return spec.base.eval_mask(mask & spec.base.ground.full_mask)
         raise AssertionError(spec)
 
     def value_table(self) -> np.ndarray:
@@ -221,46 +246,12 @@ class SubmodularOracle:
         ``(n + 2) * range_bound <= _SENTINEL`` keeps exact in int64.
         """
         if self._table is None:
-            n = self.ground.n
-            require_exhaustible(n, "materializing a value table")
-            spec = self.spec
-            if isinstance(spec, Modular):
-                self._table = _modular_table(self._weights)
-            elif isinstance(spec, (CutUndirected, CutDirected)):
-                self._table = self._cut_table()
-            elif isinstance(spec, Coverage):
+            require_exhaustible(self.ground.n, "materializing a value table")
+            if isinstance(self.spec, Coverage):
                 self._table = self._coverage_table()
-            elif isinstance(spec, _Projected):
-                self._table = np.tile(spec.base.value_table(), 1 << (n - spec.base.ground.n))
             else:
-                raise AssertionError(spec)
+                self._table = _energy_table(self._a, self._b)
         return self._table
-
-    def _cut_table(self) -> np.ndarray:
-        """Cut table as f(S) = sum a_i x_i + sum_{j<i} b_ij x_i x_j.
-
-        An undirected edge uv of weight w adds w to a_u and a_v and -2w to
-        b_uv; an arc u->v adds w to a_u and -w to b_uv.  The upper half
-        for bit i is the lower half plus a_i plus the modular table of row
-        b_i over the bits below i.
-        """
-        n = self.ground.n
-        undirected = isinstance(self.spec, CutUndirected)
-        a = np.zeros(n, dtype=np.int64)
-        b = np.zeros((n, n), dtype=np.int64)
-        np.add.at(a, self._eu, self._ew)
-        if undirected:
-            np.add.at(a, self._ev, self._ew)
-        hi, lo = np.maximum(self._eu, self._ev), np.minimum(self._eu, self._ev)
-        np.add.at(b, (hi, lo), -(1 + undirected) * self._ew)
-        t = np.zeros(1 << n, dtype=np.int64)
-        for i in range(n):
-            h = 1 << i
-            upper = t[h : 2 * h]
-            np.add(t[:h], a[i], out=upper)
-            if b[i, :i].any():
-                upper += _modular_table(b[i, :i])
-        return t
 
     def _coverage_table(self) -> np.ndarray:
         """Item counts: an OR-doubled uint64 table per 64-item word, popcounted."""

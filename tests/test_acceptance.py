@@ -15,15 +15,10 @@ records (counters, minimal-optima misses) the later criteria need.
 from __future__ import annotations
 
 import time
-from math import comb
 
 import numpy as np
 
-from ccsm.constraints import (
-    CongruencyConstraint,
-    is_prime_power,
-    tcut_reduce,
-)
+from ccsm.constraints import is_prime_power, tcut_reduce
 from ccsm.enumeration import enum_solve, pair_count
 from ccsm.families import (
     FAMILY_NAMES,

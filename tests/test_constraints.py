@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from ccsm.constraints import (
     is_prime_power,
     tcut_reduce,
 )
-from ccsm.errors import InputError
-from ccsm.families import random_oracle, random_ring
+from ccsm.errors import InputError, UnsupportedSizeError
+from ccsm.families import FAMILY_NAMES, random_oracle, random_ring, random_table
 from ccsm.ground import GroundSet
+from ccsm.instances import Instance, instance_from_dict, instance_to_dict
 from ccsm.lattice import RingFamily
 from ccsm.oracles import Modular, SubmodularOracle
 from ccsm.reference import _constraint_table, exhaustive_solve
@@ -222,3 +225,35 @@ def test_tcut_reduction_preserves_optima():
             assert oracle.eval(projected) == direct.optimum
             assert len(projected & terms) % m == r
             assert ring.member(projected)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_tcut_reductions_round_trip_through_the_file_form(family):
+    """A reduced instance is an instance like any other: written to its file
+    form and read back, it has the same optimum and minimal optima."""
+    rng = np.random.default_rng(78)
+    for _ in range(6):
+        n = int(rng.integers(1, 6))
+        oracle = random_oracle(rng, family, n)
+        ring = random_ring(rng, oracle.ground, lattice_prob=0.4)
+        m = int(rng.integers(2, 4))
+        r = int(rng.integers(0, m))
+        size = int(rng.integers(1, n + 1))
+        terms = frozenset(
+            oracle.ground.elements[int(i)] for i in rng.choice(n, size=size, replace=False)
+        )
+        red = tcut_reduce(oracle, ring, terms, m, r)
+        reduced_instance = Instance(red.oracle, red.ring, red.constraint)
+        back = instance_from_dict(json.loads(json.dumps(instance_to_dict(reduced_instance))))
+        assert back.ground == red.oracle.ground
+        reduced = exhaustive_solve(red.oracle, red.ring, red.constraint)
+        assert exhaustive_solve(back.oracle, back.ring, back.constraint) == reduced
+        assert reduced.optimum == exhaustive_solve(oracle, ring, TCutConstraint(terms, m, r)).optimum
+
+
+def test_tcut_reduce_refuses_a_table_whose_enlarged_ground_passes_the_cap():
+    oracle = random_table(np.random.default_rng(5), 13)
+    g = oracle.ground
+    # 12 non-terminals with 2 clones each: n' = 13 + 24 = 37.
+    with pytest.raises(UnsupportedSizeError, match="n=37"):
+        tcut_reduce(oracle, RingFamily.full(g), g.elements[:1], 3, 1)

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ccsm"
+ROOT = Path(__file__).resolve().parent.parent
 # The package's __init__ imports names to re-export them.
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in (ROOT / "src" / "ccsm").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:

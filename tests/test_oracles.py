@@ -7,6 +7,7 @@ import pytest
 
 from ccsm.constraints import tcut_reduce
 from ccsm.errors import InputError
+from ccsm.families import random_oracle
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
 from ccsm.limits import _SENTINEL
@@ -78,6 +79,42 @@ def test_explicit_table_round_trip():
 def test_explicit_table_requires_full_table():
     with pytest.raises(InputError):
         SubmodularOracle(ABC, ExplicitTable((0, 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Modular({"a": 1.9}),
+        Modular({"a": "3"}),
+        Modular({"a": "x"}),
+        Modular({"a": True}),
+        Modular({"a": np.float64(2.0)}),
+        CutUndirected((("a", "b", 1.9),)),
+        CutUndirected((("a", "b", "3"),)),
+        CutUndirected((("a", "b", "x"),)),
+        CutUndirected((("a", "b", True),)),
+        CutDirected((("a", "b", 1.9),)),
+        ExplicitTable((0, 1.5, 0.7, 1.2, 1, 1, 1, 1)),
+        ExplicitTable((0, 1, 1, 1, 1, 1, 1, "3")),
+        ExplicitTable((False, True, True, True, True, True, True, True)),
+        Coverage({"a": "xyz"}),
+    ],
+    ids=repr,
+)
+def test_specs_refuse_values_that_are_not_integers(spec):
+    """Weights and table values are never cast: 1.9 would become 1 and
+    "3" would become 3.  An item list given as a string is not split."""
+    with pytest.raises(InputError):
+        SubmodularOracle(ABC, spec)
+
+
+def test_specs_take_numpy_integers():
+    weights = {"a": np.int64(-2), "b": np.uint8(1), "c": 3}
+    assert SubmodularOracle(ABC, Modular(weights)).eval(("a", "b", "c")) == 2
+    cut = SubmodularOracle(ABC, CutDirected((("a", "b", np.int32(4)),)))
+    assert cut.eval(("a",)) == 4
+    table = SubmodularOracle(ABC, ExplicitTable(np.arange(8, dtype=np.uint16)))
+    assert table.value_table().tolist() == list(range(8))
 
 
 def test_edge_validation():
@@ -246,8 +283,7 @@ def test_eval_mask_never_reads_the_cached_table():
         ring = RingFamily(base.ground)
         reduced = tcut_reduce(base, ring, ("v0", "v2"), 2, 1)
         cases.append((reduced.oracle, lambda s, r=reduced, f=naive: f(r.project(s))))
-    # Reduced oracles first: their tables are tiled from the base's cache.
-    for oracle, naive in reversed(cases):
+    for oracle, naive in cases:
         ground = oracle.ground
         mask = ground.full_mask // 3
         oracle.value_table()[mask] += 1
@@ -278,12 +314,32 @@ def test_values_beyond_int64_headroom_are_refused():
     with pytest.raises(InputError, match="int64"):
         SubmodularOracle(ABC, CutUndirected((("a", "b", 2**63),)))
     with pytest.raises(InputError, match="int64"):
+        SubmodularOracle(ABC, CutDirected((("a", "b", 2**63),)))
+    with pytest.raises(InputError, match="int64"):
         SubmodularOracle(ABC, ExplicitTable((0,) * 7 + (2**63,)))
     # The largest bound with (n + 2) * range_bound <= _SENTINEL is accepted.
     limit = _SENTINEL // 5
     assert SubmodularOracle(ABC, Modular({"a": -limit})).range_bound == limit
     with pytest.raises(InputError, match="int64"):
         SubmodularOracle(ABC, Modular({"a": -limit - 1}))
+
+
+def test_compiled_energies_have_only_nonpositive_pair_terms():
+    """Modular and cut specs compile to sum a_i x_i + sum_{j<i} b_ij x_i x_j
+    with every b_ij <= 0, and b = 0 for a modular spec: the precondition
+    of a graph construction for pinned minimizers."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 11))
+        for family in ("modular", "cut", "cut_directed"):
+            oracle = random_oracle(rng, family, n)
+            b = oracle._b
+            assert b.shape == (n, n)
+            assert not np.triu(b).any()
+            if family == "modular":
+                assert not b.any()
+            else:
+                assert (b <= 0).all()
 
 
 def test_check_submodular_accepts_all_builtin_kinds():

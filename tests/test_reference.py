@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ccsm.constraints import CongruencyConstraint, GeneralizedConstraint
+from ccsm.constraints import CongruencyConstraint
 from ccsm.errors import UnsupportedSizeError
 from ccsm.families import random_generalized_instance, random_instance, tight_depth_instance
 from ccsm.ground import GroundSet

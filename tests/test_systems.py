@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ccsm.errors import InputError, InternalInconsistencyError
+from ccsm.errors import InputError
 from ccsm.families import random_closed_covering_system
 from ccsm.ground import GroundSet, popcount
 from ccsm.systems import (
@@ -21,7 +21,6 @@ from ccsm.systems import (
     search_md_system,
 )
 from ccsm.transforms import Binomial, Power, transform_system
-from helpers import powerset
 
 ABC = GroundSet(("a", "b", "c"))
 
