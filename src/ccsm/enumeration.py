@@ -18,52 +18,40 @@ for every pair, in ``_pinned_minimizers``:
   the first of uint16 / uint32 / uint64 whose top value, which marks the
   non-members, exceeds (n + 1)(hi - lo) + n; lo and hi bound f over the
   members.  A constant shift, with the holes above every member, keeps
-  every ``<`` and ``==`` the sweep and the walk make, so each row is the
-  one an int64 table of g would give, its g back in int64 with base added;
-- sweep: one in-place superset-min pass per bit position leaves in each
-  cell the minimum of g over its supersets.  For a fixed B the sets that
-  avoid B form a 2**(n - |B|) sub-cube, kept with B's bits squeezed out,
-  and once it is swept the cell of A holds the minimum over the interval
-  [A, N - B];
-- share: one depth-first pass over the positions 0 ... n - 1 sweeps the
-  sub-cubes of every B.  Before a table sweeps position p, its 0-half at
-  p is copied out as the table of B + p.  Sweeps of different positions
-  commute and the 0-half at p is untouched by sweeps of other positions,
-  so the child starts from a table already swept below p and sweeps only
-  the positions above.  Every B thus shares the sweeps of its prefix;
-- runs: a level-j table's sweep of position p and its child copy pair
-  runs of w = 2**(p - j) contiguous cells, and numpy's inner loop spans
-  one run.  Narrow runs thus cost far more a cell than wide ones.  Where
-  w <= 8 and the table holds at least 2**15 cells, both run once per
-  column c < w instead, on 1-D strided views that span the table.  One
-  pass, in ns a cell (uint16, 2**15 ... 2**20 cells, 2-CPU VM):
+  every ``<=`` made below, so each row is the one int64 cells would give;
+- nodes: after t steps a node is a table of 2**(n - t) cells with the
+  |A| and |B| it has taken: cell c holds the least cell over the sets
+  that end in c and, on the top t bits, hold its A bits, avoid its B
+  bits and take any value on the rest.  Level 0 is the cells alone;
+- step: bit e = n - 1 - t is every node's top bit, so its halves h0 and
+  h1 (bit e clear, set) are contiguous.  Each node gives a free child
+  min(h0, h1), one with |B| < d a B-child h0 and one with |A| < d an
+  A-child h1: one ``np.minimum`` and one ``np.take`` for all nodes, and
+  the free children's decisions h1 <= h0 are kept, packed 8 to a byte.
+  After bit 0 each node is a pair's one cell: the least cell of
+  [A, N - B], or the top value if that holds no member;
+- backtrack: from each other leaf, bit 0 first, a B-child's bit is 0,
+  an A-child's 1 and a free child's its parent's decision at the cell
+  the bits set so far pick.  Ties go to the 1-half, so a free bit is set
+  whenever some argmin with the lower bits holds it: the set is the
+  argmin greatest in bit-reversed order, on submodular input the only
+  one, the inclusion-minimal minimizer of f.
 
-      w              1          2          4          8         16
-      whole view     0.32-0.39  3.9-4.3    2.0-2.3    1.1-1.2   0.56-0.64
-      by column      0.32-0.42  0.32-0.42  0.34-0.50  0.44-0.80 0.88-1.5
+Level t has N_d(t) nodes, the pairs over t bits with |A|, |B| <= d, so
+the steps write the sum over t >= 1 of N_d(t) 2**(n - t) cells, 9 x 2**n
+at d = 1 and 35-38 x 2**n at d = 2, and the backtrack takes n steps per
+non-empty pair.  The largest level holds 1.75 x 2**n cells at d = 1 and
+4.4 x 2**n at d = 2, so a level that would pass max(2**n, 2**16) cells
+is built from pieces of the node list, one after another, each taken to
+its leaves before the next; a lone node passes its B- and A-children on
+as views of its halves.  The traced peak, the feasibility table
+included, is 6.0-6.1 bytes a cell at d = 1 (n = 16 ... 24) and
+9.7-12.3 at d = 2 (n = 20, 17).  The README gives timings.
 
-  and 0.04-0.11 for the one call when a run spans half the table.  A
-  column call costs a few microseconds, so columns lose at w = 16 and
-  gain little at w = 8 below 2**15 cells;
-- walk: from each A whose cell is not a hole, add each free element whose
-  cell still holds the interval minimum; the walk ends on the minimizer,
-  then B's bits go back in.
-
-Each table of level j = |B| sweeps the positions above max(B), so the
-sweeps cost sum over j <= d of C(n, j + 1) 2**(n - j) cell updates
-(n + C(n, 2) / 2 full passes at d = 1), and the walks n - |B| steps per
-non-empty pair.  Finished tables of level j are stacked 2**j to a chunk
-in one buffer of 2**n cells and walked together, so apart from arrays
-with one entry per non-empty pair, the working memory beyond f is the
-level-0 cells and d buffers of 2**n cells, each cell 2, 4 or 8 bytes.
-The README gives measured timings.
-
-Within a chunk every B with |B| = j leaves the same n - j free bits once
-they are squeezed, so one list of A sides, the subsets of at most d of
-those bits, serves them all.  Each non-empty pair gets a row: its
-minimizer, the minimizer's g, |A| (the popcount of the start) and |B| = j.
-``_select`` orders the distinct sets by (g, lex); no reader relies on the
-row order.  As 0 <= |S| <= n < n + 1, that is (f, |S|, lex) order.
+Each non-empty pair gets a row: its minimizer, the minimizer's g, |A|
+and |B|.  ``_select`` orders the distinct sets by (g, lex); no reader
+relies on the row order.  As 0 <= |S| <= n < n + 1, that is
+(f, |S|, lex) order.
 """
 
 from __future__ import annotations
@@ -72,7 +60,7 @@ import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -146,131 +134,137 @@ def _scaled_cells(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarra
     return cells, (n + 1) * lo
 
 
-def _subset_masks(n: int, sizes: range) -> np.ndarray:
-    """Masks of the subsets of n bits whose size lies in ``sizes``, in
-    (size, lex) order."""
-    return np.array(
-        [sum(1 << i for i in c) for k in sizes for c in combinations(range(n), k)],
-        dtype=np.int64,
-    )
-
-
-def _restore_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    """Put zero bits back at the positions set in ``drop`` in each mask."""
-    while drop.any():
-        low = drop & -drop
-        masks = (masks & (low - 1)) | ((masks & -low) << 1)
-        drop = drop ^ low
-    return masks
-
-
 def _pinned_minimizers(cells: np.ndarray, base: int, n: int, d: int) -> _NodeTable:
     """The node table of the pairs up to depth ``d``: per pair whose
     interval [A, N - B] holds a member (a cell below ``top``, the maximum
-    of the cells' unsigned dtype), one row with an argmin of ``cells``
-    there and its g = cell + ``base``, which must fit in int64.  Found by
-    the depth-first sweep, in place, and the walk of the module docstring.
+    of the cells' unsigned dtype), one row with the argmin of ``cells``
+    there that is greatest in bit-reversed order, and its g = cell +
+    ``base``, which must fit in int64.  ``cells`` is left as it is.
 
-    The table of B + p is copied from its parent's 0-half at p before the
-    parent sweeps p, so it starts swept at every position below p and
-    sweeps only those above: sum over j <= d of C(n, j + 1) 2**(n - j)
-    cell updates in all.  Besides ``cells``, the sweep holds one chunk
-    of 2**n cells per level 1 ... d, in the cells' width.  The sweep and
-    the copy of a position whose runs hold w <= 8 cells, on a table of at
-    least 2**15 cells, loop over the w columns (``_columns``); elsewhere
-    they make one call on the whole view.  The module docstring gives
-    the measured cost a cell of both.
-
-    Each chunk's walk returns its rows, and they are joined once at the
-    end; the pairs of the walked chunks, empty ones included, must number
-    ``pair_count(n, d)``.
-
-    The walk ends on a cell x that holds the interval minimum, while each
-    ``x | t`` is a superset of the cell where t was rejected and so holds
-    more.  Every proper superset of x lies under some ``x | t``, so cell x
-    itself is the minimum: the walk finds an argmin on any table, and on
-    submodular input the unique one, the inclusion-minimal minimizer.
+    The steps of the module docstring write the sum over t >= 1 of
+    N_d(t) 2**(n - t) cells, and a level that would pass
+    max(2**n, 2**16) cells goes on in pieces (``_split``).  Decisions
+    take the 1-half on ties, so the backtrack, bit 0 first, sets each
+    free bit that some argmin with the lower bits holds: the greedy walk
+    that adds free bits lowest first while an argmin remains.  The leaves
+    must number ``pair_count(n, d)``.
     """
     d = min(n, d)
-    top = np.iinfo(cells.dtype).max
-    # Level j stacks up to 2**j tables of 2**(n - j) cells, one per B with
-    # |B| = j, in the order of ``bsides[j]``; the slot after them holds the
-    # level's table in progress.  Level 0 is ``cells`` itself.
-    chunks = [cells] + [np.empty(1 << n, dtype=cells.dtype) for _ in range(d)]
-    starts = [_subset_masks(n - j, range(min(n - j, d) + 1)) for j in range(d + 1)]
-    bsides: list[list[int]] = [[] for _ in range(d + 1)]
-    rows = []
-    pairs = 0
-    # Each entry is a table still being swept: its level j = |B|, the next
-    # bit position p to sweep and B.  Every element of B lies below p, so
-    # p sits at bit p - j of the table, whose B bits are squeezed out.
-    stack = [(0, 0, 0)]
-    while stack:
-        j, p, b = stack.pop()
-        free = n - j
-        if p == n:
-            bsides[j].append(b)
-            pairs += len(starts[j])
-            if len(bsides[j]) == 1 << j:
-                rows.append(_walk_chunk(chunks[j], n, j, starts[j], bsides[j], base, top))
-            continue
-        k = len(bsides[j])
-        w = 1 << (p - j)
-        halves = chunks[j][k << free : (k + 1) << free].reshape(-1, 2, w)
-        cols = _columns(w, free)
-        stack.append((j, p + 1, b))
-        if j < d:
-            # B + p avoids p: its table is this table's 0-half at p, which
-            # is already swept at every position below p.
-            lo = len(bsides[j + 1]) << (free - 1)
-            child = chunks[j + 1][lo : lo + (1 << (free - 1))].reshape(-1, w)
-            for c in cols:
-                child[:, c] = halves[:, 0, c]
-            stack.append((j + 1, p + 1, b | 1 << p))
-        for c in cols:
-            np.minimum(halves[:, 0, c], halves[:, 1, c], out=halves[:, 0, c])
-    for j in range(d + 1):
-        if bsides[j]:
-            rows.append(_walk_chunk(chunks[j], n, j, starts[j], bsides[j], base, top))
-    assert pairs == pair_count(n, d)
-    return _NodeTable(*map(np.concatenate, zip(*rows)))
+    zero = np.zeros(1, dtype=np.int8)
+    rows, leaves = _eliminate(cells.reshape(1, -1), zero, zero, d, max(1 << n, 1 << 16))
+    assert leaves == pair_count(n, d)
+    setmask, value, asize, bsize = (column.astype(np.int64) for column in rows[:4])
+    return _NodeTable(setmask, value + base, asize, bsize)
 
 
-def _columns(w: int, free: int) -> range | tuple[slice]:
-    """What a sweep or copy of a table of 2**``free`` cells in runs of
-    ``w`` contiguous cells loops over: each column c < w, or once the
-    whole view.  See the module docstring for the rule's timings."""
-    return range(w) if w <= 8 and free >= 15 else (slice(None),)
+class _Rows(NamedTuple):
+    """Non-empty leaves during the backtrack: the bits set so far, the
+    leaf's cell, |A|, |B|, and the node of the current level each leaf
+    descends from."""
+
+    setmask: np.ndarray
+    value: np.ndarray
+    asize: np.ndarray
+    bsize: np.ndarray
+    node: np.ndarray
 
 
-def _walk_chunk(
-    chunk: np.ndarray,
-    n: int,
-    j: int,
-    starts: np.ndarray,
-    bsides: list[int],
-    base: int,
-    top: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Walk the non-empty pairs of the tables in ``chunk``, one per B in
-    ``bsides`` (|B| = ``j``), empty ``bsides`` and return the pairs' rows:
-    setmask, g, |A| and |B|.  Cells hold g - ``base``, or ``top`` for a
-    hole; a pair whose start cell is ``top`` is empty and not walked."""
-    # The walk runs on flat cell indices: the table's slot above the
-    # free-bit mask of A, from the one list ``starts`` of this |B|.
-    free = n - j
-    cells = chunk[: len(bsides) << free]
-    x = ((np.arange(len(bsides), dtype=np.int64) << free)[:, None] | starts).reshape(-1)
-    x = x[cells[x] != top]
-    target = cells[x]
-    asize = np.bitwise_count(x & ((1 << free) - 1)).astype(np.int64)
-    for t in range(free):
-        step = x | (1 << t)
-        x = np.where(cells[step] == target, step, x)
-    drop = np.array(bsides, dtype=np.int64)[x >> free]
-    bsides.clear()
-    setmask = _restore_bits(x & ((1 << free) - 1), drop)
-    return setmask, target.astype(np.int64) + base, asize, np.full(len(x), j, dtype=np.int64)
+def _eliminate(
+    tab: np.ndarray, asize: np.ndarray, bsize: np.ndarray, d: int, cap: int
+) -> tuple[_Rows, int]:
+    """Eliminate the top bit of the nodes ``tab``, one row of 2**e cells
+    each with |A| and |B| so far in ``asize`` and ``bsize``, until each
+    node is one cell, then backtrack.  Returns the rows of the non-empty
+    leaves, with ``node`` a row of ``tab``, and the number of leaves."""
+    steps = []
+    while tab.shape[1] > 1:
+        half = tab.shape[1] >> 1
+        h0, h1 = tab[:, :half], tab[:, half:]
+        bside = np.flatnonzero(bsize < d)
+        aside = np.flatnonzero(asize < d)
+        free = len(tab)
+        count = free + len(bside) + len(aside)
+        if count * half > cap:
+            rows, leaves = _split(tab, asize, bsize, d, cap, count * half)
+            break
+        # Children in the order free, B, A.  Row 2i of the halves is h0 of
+        # node i and row 2i + 1 its h1; mode="clip" lets take write
+        # straight into ``out``.
+        kids = np.empty((count, half), dtype=tab.dtype)
+        np.minimum(h0, h1, out=kids[:free])
+        fixed = np.concatenate((2 * bside, 2 * aside + 1))
+        np.take(tab.reshape(-1, half), fixed, axis=0, out=kids[free:], mode="clip")
+        parents = np.concatenate((np.arange(free), bside, aside))
+        steps.append((_decisions(h0, h1), free, free + len(bside), parents, half))
+        asize = np.concatenate((asize, asize[bside], asize[aside] + 1))
+        bsize = np.concatenate((bsize, bsize[bside] + 1, bsize[aside]))
+        tab = kids
+    else:
+        node = np.flatnonzero(tab[:, 0] != np.iinfo(tab.dtype).max)
+        setmask = np.zeros(len(node), dtype=np.int64)
+        rows = _Rows(setmask, tab[node, 0], asize[node], bsize[node], node)
+        leaves = len(tab)
+    for step in reversed(steps):
+        rows = _backtrack(rows, *step)
+    return rows, leaves
+
+
+def _split(
+    tab: np.ndarray, asize: np.ndarray, bsize: np.ndarray, d: int, cap: int, size: int
+) -> tuple[_Rows, int]:
+    """``_eliminate`` on nodes whose children would take ``size`` > ``cap``
+    cells.  Several nodes go on in ceil(size / cap) pieces, one after
+    another.  A lone node passes its B- and A-children on as views of its
+    halves, so only its free child is new."""
+    k, width = tab.shape
+    half = width >> 1
+    if k > 1:
+        pieces = min(k, -(-size // cap))
+        bounds = [k * i // pieces for i in range(pieces + 1)]
+        parts = [
+            _eliminate(tab[lo:hi], asize[lo:hi], bsize[lo:hi], d, cap)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return _join(parts, bounds)
+    h0, h1 = tab[:, :half], tab[:, half:]
+    parts = [_eliminate(np.minimum(h0, h1), asize, bsize, d, cap)]
+    if bsize[0] < d:
+        parts.append(_eliminate(h0, asize, bsize + 1, d, cap))
+    if asize[0] < d:
+        parts.append(_eliminate(h1, asize + 1, bsize, d, cap))
+    rows, leaves = _join(parts, range(len(parts)))
+    parents = np.zeros(len(parts), dtype=np.int64)
+    return _backtrack(rows, _decisions(h0, h1), 1, 1 + int(bsize[0] < d), parents, half), leaves
+
+
+def _decisions(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+    """The bits "the 1-half holds the minimum" (ties to the 1-half), packed
+    in little bit order with the nodes' rows end to end: cell c of node i
+    is bit i * half + c."""
+    return np.packbits((h1 <= h0).reshape(-1), bitorder="little")
+
+
+def _join(parts: list[tuple[_Rows, int]], offsets) -> tuple[_Rows, int]:
+    """The rows of ``_eliminate`` runs on consecutive node lists, each
+    run's nodes counted from its offset, and their number of leaves."""
+    columns = [np.concatenate(c) for c in zip(*(rows[:4] for rows, _ in parts))]
+    node = np.concatenate([rows.node + at for (rows, _), at in zip(parts, offsets)])
+    return _Rows(*columns, node), sum(leaves for _, leaves in parts)
+
+
+def _backtrack(
+    rows: _Rows, decisions: np.ndarray, free: int, bonly: int, parents: np.ndarray, half: int
+) -> _Rows:
+    """Set the bit one step eliminated in each row, worth ``half``, and
+    move the rows to the step's parent nodes.  A row's node is a free
+    child below ``free``, a B-child below ``bonly`` and an A-child from
+    there on.  A free child's bit is its parent's decision at the cell of
+    the bits set so far, a B-child's 0 and an A-child's 1."""
+    parent = parents[rows.node]
+    at = parent * half + rows.setmask
+    bit = (decisions[at >> 3] >> (at & 7)) & 1
+    bit = np.where(rows.node < free, bit, rows.node >= bonly)
+    return rows._replace(setmask=rows.setmask | bit * half, node=parent)
 
 
 def _node_table(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeTable:
@@ -290,7 +284,7 @@ class EnumSolution:
     ``skipped_empty`` the rest, so the two sum to ``pair_count(n, depth)``;
     a proper ``solve_cut`` sums them over its pinned runs instead.
     ``route`` names how the pinned minimizers were computed; the only
-    route is ``"table"``, the sweeps over the dense value table.
+    route is ``"table"``, the bit elimination over the dense value table.
     """
 
     best: frozenset[str] | None

@@ -176,6 +176,12 @@ class SubmodularOracle:
             self._n_items = len(items)
             self._set_range_bound(len(items))
         elif isinstance(spec, ExplicitTable):
+            # np.asarray reads (0, True) as int64, so a sequence's bools are
+            # looked for value by value; an ndarray's dtype tells.
+            if not isinstance(spec.values, np.ndarray) and {bool, np.bool_} & set(
+                map(type, spec.values)
+            ):
+                raise InputError("explicit table values must be integers, got a bool")
             vals = np.asarray(spec.values)
             if vals.shape != (1 << n,):
                 raise InputError(

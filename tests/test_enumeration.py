@@ -16,7 +16,6 @@ from ccsm.constraints import (
 )
 from ccsm.cuts import CutProblem, solve_cut
 from ccsm.enumeration import (
-    _columns,
     _node_table,
     _pinned_minimizers,
     _scaled_cells,
@@ -170,7 +169,7 @@ def test_node_table_matches_brute_force(cases):
         assert _rows_by_sizes(table) == sorted(want)
 
 
-# (cell width, base): tables of unsigned cells in each sweep width, with
+# (cell width, base): tables of unsigned cells in each cell width, with
 # rows' g = cell + base in int64.  At uint64 a member cell at top - 1 only
 # fits int64 with base = -2**63.
 CELL_TABLES = (
@@ -242,10 +241,10 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     unique, the node table has one row per pair whose interval [A, N - B]
     holds a cell below the width's top, and none for an interval of
     holes.  Each row's g is base plus the least cell of its interval, and
-    its set is the argmin there that is greatest in bit-reversed order, as
-    the walk decides bit 0 first.  Depths run past n, so every level of
-    the sweep is reached and chunks are walked both full and part-filled;
-    the tables reach every sweep width, each with a member at top - 1."""
+    its set is the argmin there that is greatest in bit-reversed order:
+    the backtrack sets bit 0 first and takes the 1-half on every tie.
+    Depths run past n, so nodes run out of budget at every level; the
+    tables reach every cell width, each with a member at top - 1."""
     rng = np.random.default_rng(35)
     for n, cells, base in _any_tables(rng):
         d = int(rng.integers(0, n + 2))
@@ -255,28 +254,21 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
 
 @pytest.mark.parametrize("width", [np.uint16, np.uint32], ids=["uint16", "uint32"])
 def test_pinned_entries_attain_the_interval_minimum_on_large_tables(width):
-    """As above on tables of 2**15 and 2**16 cells, at d = 1 and 2, where
-    the sweep and the child copy of narrow runs go column by column."""
+    """As above on tables of 2**15 and 2**16 cells, where levels pass the
+    cap of max(2**n, 2**16) cells and ``_split`` takes over: at n = 16,
+    d = 1 the lone first node passes its B- and A-children on as views of
+    its halves, at d = 2 node lists also go on in pieces (three to six
+    splits a table), and at d = 3, the depth of a proper cut's table, the
+    pieces split again level after level (nine splits at n = 15)."""
     rng = np.random.default_rng(36)
     top = np.iinfo(width).max
     values = np.array([0, 1, 2, 3, top - 1], dtype=width)
-    for n in (15, 16):
+    for n, depths in ((15, (1, 2, 3)), (16, (1, 2))):
         cells = rng.choice(values, size=1 << n)
         cells[rng.random(1 << n) < 0.3] = top
-        for d in (1, 2):
+        for d in depths:
             want = _interval_rows(cells, -7, n, d)
             assert _rows_by_sizes(_pinned_minimizers(cells.copy(), -7, n, d)) == want
-
-
-def test_narrow_runs_of_large_tables_go_column_by_column():
-    """Runs of up to 8 cells on tables of at least 2**15 cells loop over
-    their columns; wider runs and smaller tables take one whole-view call."""
-    for w in (1, 2, 4, 8):
-        for free in (15, 16, 20):
-            assert _columns(w, free) == range(w)
-        assert _columns(w, 14) == (slice(None),)
-    for w in (16, 32, 1 << 19):
-        assert _columns(w, 20) == (slice(None),)
 
 
 def test_a_solve_leaves_no_garbage_cycle():
@@ -418,7 +410,7 @@ def test_enum_matches_exhaustive_on_random_instances():
     ids=["uint16", "uint32", "uint64"],
 )
 def test_solves_match_the_reference_at_every_sweep_width(scale, width):
-    """Weights scaled so that every node table is swept in ``width``:
+    """Weights scaled so that every node table has cells of ``width``:
     ``enum_solve`` matches the exhaustive reference and a proper cut
     matches a brute-force scan, in value and in the (cardinality, lex)
     first optimal set."""
@@ -462,7 +454,7 @@ def test_solves_match_the_reference_at_every_sweep_width(scale, width):
 
 @pytest.mark.parametrize("family", ["cut", "cut_directed", "coverage"])
 def test_solves_above_the_column_rule_match_the_reference(family):
-    """At n = 16 the sweeps of narrow runs go column by column: the value
+    """At n = 16 the node table's levels pass their cap and split: the value
     and the (cardinality, lex) first optimal set match the exhaustive
     reference, and every inclusion-minimal optimum is a candidate.  Draws
     whose optimum is missing or only the empty or the full set, as for a
@@ -540,7 +532,7 @@ def test_sweep_width_is_the_first_whose_top_exceeds_the_scaled_range(n, weight, 
 def test_node_table_builds_no_int64_table_of_g():
     """With the value table built, the node table of a cut at n = 16,
     d = 1 peaks below 8 bytes a cell, the feasibility table included: the
-    cells are written in their sweep width, with no 2**n int64 table of
+    cells are written in their cell width, with no 2**n int64 table of
     g = (n + 1) f + |S| in between."""
     n = 16
     instance = random_instance(np.random.default_rng(50), "cut", n, 2)

@@ -97,6 +97,8 @@ def test_explicit_table_requires_full_table():
         ExplicitTable((0, 1.5, 0.7, 1.2, 1, 1, 1, 1)),
         ExplicitTable((0, 1, 1, 1, 1, 1, 1, "3")),
         ExplicitTable((False, True, True, True, True, True, True, True)),
+        ExplicitTable((0, True, 1, 1, 1, 1, 1, 1)),
+        ExplicitTable((0, np.True_, 1, 1, 1, 1, 1, 1)),
         Coverage({"a": "xyz"}),
     ],
     ids=repr,
