@@ -32,10 +32,11 @@ for every pair, in ``_pinned_minimizers``:
   [A, N - B], or the top value if that holds no member;
 - backtrack: from each other leaf, bit 0 first, a B-child's bit is 0,
   an A-child's 1 and a free child's its parent's decision at the cell
-  the bits set so far pick.  Ties go to the 1-half, so a free bit is set
-  whenever some argmin with the lower bits holds it: the set is the
-  argmin greatest in bit-reversed order, on submodular input the only
-  one, the inclusion-minimal minimizer of f.
+  the bits set so far pick.  A step keeps the parents of its B- and
+  A-children only, as free child i's parent is node i.  Ties go to the
+  1-half, so a free bit is set whenever some argmin with the lower bits
+  holds it: the set is the argmin greatest in bit-reversed order, on
+  submodular input the only one, the inclusion-minimal minimizer of f.
 
 Level t has N_d(t) nodes, the pairs over t bits with |A|, |B| <= d, so
 the steps write the sum over t >= 1 of N_d(t) 2**(n - t) cells, 9 x 2**n
@@ -46,7 +47,7 @@ is built from pieces of the node list, one after another, each taken to
 its leaves before the next; a lone node passes its B- and A-children on
 as views of its halves.  The traced peak, the feasibility table
 included, is 6.0-6.1 bytes a cell at d = 1 (n = 16 ... 24) and
-9.7-12.3 at d = 2 (n = 20, 17).  The README gives timings.
+9.7-10.6 at d = 2 (n = 20, 17).  The README gives timings.
 
 Each non-empty pair gets a row: its minimizer, the minimizer's g, |A|
 and |B|.  ``_select`` orders the distinct sets by (g, lex); no reader
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterator, NamedTuple
@@ -151,9 +153,10 @@ def _pinned_minimizers(cells: np.ndarray, base: int, n: int, d: int) -> _NodeTab
     """
     d = min(n, d)
     zero = np.zeros(1, dtype=np.int8)
-    rows, leaves = _eliminate(cells.reshape(1, -1), zero, zero, d, max(1 << n, 1 << 16))
+    cap = max(1 << n, 1 << 16)
+    rows, leaves = _climb(_descend(cells.reshape(1, -1), zero, zero, d, cap))
     assert leaves == pair_count(n, d)
-    setmask, value, asize, bsize = (column.astype(np.int64) for column in rows[:4])
+    setmask, value, asize, bsize = (column.astype(np.int64, copy=False) for column in rows[:4])
     return _NodeTable(setmask, value + base, asize, bsize)
 
 
@@ -169,13 +172,16 @@ class _Rows(NamedTuple):
     node: np.ndarray
 
 
-def _eliminate(
+def _descend(
     tab: np.ndarray, asize: np.ndarray, bsize: np.ndarray, d: int, cap: int
-) -> tuple[_Rows, int]:
+) -> tuple[list, _Rows, int]:
     """Eliminate the top bit of the nodes ``tab``, one row of 2**e cells
     each with |A| and |B| so far in ``asize`` and ``bsize``, until each
-    node is one cell, then backtrack.  Returns the rows of the non-empty
-    leaves, with ``node`` a row of ``tab``, and the number of leaves."""
+    node is one cell, or until a level would pass ``cap`` cells and
+    ``_split`` takes the nodes to their leaves.  Returns the steps taken
+    for ``_climb``, the rows of the non-empty leaves, with ``node`` a node
+    of the last level built, and the number of leaves.  No level outlives
+    the call, so the backtrack runs without them."""
     steps = []
     while tab.shape[1] > 1:
         half = tab.shape[1] >> 1
@@ -185,8 +191,7 @@ def _eliminate(
         free = len(tab)
         count = free + len(bside) + len(aside)
         if count * half > cap:
-            rows, leaves = _split(tab, asize, bsize, d, cap, count * half)
-            break
+            return steps, *_split(tab, asize, bsize, d, cap, count * half)
         # Children in the order free, B, A.  Row 2i of the halves is h0 of
         # node i and row 2i + 1 its h1; mode="clip" lets take write
         # straight into ``out``.
@@ -194,46 +199,53 @@ def _eliminate(
         np.minimum(h0, h1, out=kids[:free])
         fixed = np.concatenate((2 * bside, 2 * aside + 1))
         np.take(tab.reshape(-1, half), fixed, axis=0, out=kids[free:], mode="clip")
-        parents = np.concatenate((np.arange(free), bside, aside))
+        parents = np.concatenate((bside, aside))
         steps.append((_decisions(h0, h1), free, free + len(bside), parents, half))
         asize = np.concatenate((asize, asize[bside], asize[aside] + 1))
         bsize = np.concatenate((bsize, bsize[bside] + 1, bsize[aside]))
         tab = kids
-    else:
-        node = np.flatnonzero(tab[:, 0] != np.iinfo(tab.dtype).max)
-        setmask = np.zeros(len(node), dtype=np.int64)
-        rows = _Rows(setmask, tab[node, 0], asize[node], bsize[node], node)
-        leaves = len(tab)
-    for step in reversed(steps):
-        rows = _backtrack(rows, *step)
+    node = np.flatnonzero(tab[:, 0] != np.iinfo(tab.dtype).max)
+    setmask = np.zeros(len(node), dtype=np.int64)
+    return steps, _Rows(setmask, tab[node, 0], asize[node], bsize[node], node), len(tab)
+
+
+def _climb(descent: tuple[list, _Rows, int]) -> tuple[_Rows, int]:
+    """Backtrack a ``_descend`` from its leaves' rows, last step first:
+    the rows with every eliminated bit set and ``node`` a row of the nodes
+    it started from, and the number of leaves.  Each step, and the rows
+    it was given, are let go once it is done."""
+    steps, rows, leaves = descent
+    del descent
+    while steps:
+        rows = _backtrack(rows, *steps.pop())
     return rows, leaves
 
 
 def _split(
     tab: np.ndarray, asize: np.ndarray, bsize: np.ndarray, d: int, cap: int, size: int
 ) -> tuple[_Rows, int]:
-    """``_eliminate`` on nodes whose children would take ``size`` > ``cap``
-    cells.  Several nodes go on in ceil(size / cap) pieces, one after
-    another.  A lone node passes its B- and A-children on as views of its
-    halves, so only its free child is new."""
+    """``_descend`` and ``_climb`` on nodes whose children would take
+    ``size`` > ``cap`` cells.  Several nodes go on in ceil(size / cap)
+    pieces, one after another.  A lone node passes its B- and A-children
+    on as views of its halves, so only its free child is new."""
     k, width = tab.shape
     half = width >> 1
     if k > 1:
         pieces = min(k, -(-size // cap))
         bounds = [k * i // pieces for i in range(pieces + 1)]
         parts = [
-            _eliminate(tab[lo:hi], asize[lo:hi], bsize[lo:hi], d, cap)
+            _climb(_descend(tab[lo:hi], asize[lo:hi], bsize[lo:hi], d, cap))
             for lo, hi in zip(bounds, bounds[1:])
         ]
         return _join(parts, bounds)
     h0, h1 = tab[:, :half], tab[:, half:]
-    parts = [_eliminate(np.minimum(h0, h1), asize, bsize, d, cap)]
+    parts = [_climb(_descend(np.minimum(h0, h1), asize, bsize, d, cap))]
     if bsize[0] < d:
-        parts.append(_eliminate(h0, asize, bsize + 1, d, cap))
+        parts.append(_climb(_descend(h0, asize, bsize + 1, d, cap)))
     if asize[0] < d:
-        parts.append(_eliminate(h1, asize + 1, bsize, d, cap))
+        parts.append(_climb(_descend(h1, asize + 1, bsize, d, cap)))
     rows, leaves = _join(parts, range(len(parts)))
-    parents = np.zeros(len(parts), dtype=np.int64)
+    parents = np.zeros(len(parts) - 1, dtype=np.int64)
     return _backtrack(rows, _decisions(h0, h1), 1, 1 + int(bsize[0] < d), parents, half), leaves
 
 
@@ -245,7 +257,7 @@ def _decisions(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
 
 
 def _join(parts: list[tuple[_Rows, int]], offsets) -> tuple[_Rows, int]:
-    """The rows of ``_eliminate`` runs on consecutive node lists, each
+    """The rows of ``_climb`` runs on consecutive node lists, each
     run's nodes counted from its offset, and their number of leaves."""
     columns = [np.concatenate(c) for c in zip(*(rows[:4] for rows, _ in parts))]
     node = np.concatenate([rows.node + at for (rows, _), at in zip(parts, offsets)])
@@ -258,13 +270,19 @@ def _backtrack(
     """Set the bit one step eliminated in each row, worth ``half``, and
     move the rows to the step's parent nodes.  A row's node is a free
     child below ``free``, a B-child below ``bonly`` and an A-child from
-    there on.  A free child's bit is its parent's decision at the cell of
-    the bits set so far, a B-child's 0 and an A-child's 1."""
-    parent = parents[rows.node]
-    at = parent * half + rows.setmask
+    there on.  Free child i's parent is node i and its bit the parent's
+    decision at the cell of the bits set so far; ``parents`` holds the
+    B- and A-children's parents, child ``free`` first, and their bits are
+    0 and 1.  The free children's parents exist only during the call."""
+    node = rows.node
+    parent = np.concatenate((np.arange(free), parents))[node]
+    at = parent * half
+    at += rows.setmask
     bit = (decisions[at >> 3] >> (at & 7)) & 1
-    bit = np.where(rows.node < free, bit, rows.node >= bonly)
-    return rows._replace(setmask=rows.setmask | bit * half, node=parent)
+    bit = np.where(node < free, bit, node >= bonly)
+    bit *= half
+    bit |= rows.setmask
+    return rows._replace(setmask=bit, node=parent)
 
 
 def _node_table(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeTable:
@@ -285,6 +303,12 @@ class EnumSolution:
     a proper ``solve_cut`` sums them over its pinned runs instead.
     ``route`` names how the pinned minimizers were computed; the only
     route is ``"table"``, the bit elimination over the dense value table.
+
+    ``candidate_masks`` holds the distinct candidates as masks over
+    ``ground``, in (value, cardinality, lex) order.  ``candidate_sets``,
+    the same candidates as label sets, is built when first read, so a
+    run whose caller wants only ``best`` builds no other set.  Equality
+    compares the masks and the ground set; neither is in the ``repr``.
     """
 
     best: frozenset[str] | None
@@ -294,8 +318,14 @@ class EnumSolution:
     sfm_calls: int
     skipped_empty: int
     guaranteed: bool
-    candidate_sets: tuple[frozenset[str], ...] = field(default=(), repr=False)
+    candidate_masks: tuple[int, ...] = field(default=(), repr=False)
+    ground: GroundSet | None = field(default=None, repr=False)
     route: str = ROUTE_TABLE
+
+    @cached_property
+    def candidate_sets(self) -> tuple[frozenset[str], ...]:
+        """The candidates as label sets, in ``candidate_masks`` order."""
+        return tuple(self.ground.set_of(m) for m in self.candidate_masks)
 
 
 def _ordered_candidates(cands: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -385,5 +415,6 @@ def _select(
         sfm_calls=sfm_calls,
         skipped_empty=pairs - sfm_calls,
         guaranteed=guaranteed,
-        candidate_sets=tuple(ground.set_of(m) for m in ordered),
+        candidate_masks=tuple(ordered),
+        ground=ground,
     )

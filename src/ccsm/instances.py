@@ -113,15 +113,28 @@ def _parse_function(payload: dict, ground: GroundSet) -> SubmodularOracle:
             raise InputError('"values" must be a list of [labels, value] pairs')
         require_exhaustible(ground.n, "an explicit table")
         table = [None] * (1 << ground.n)
+        # One pass, checks in the order pair, list, labels, duplicate,
+        # value.  The common case costs a type test and a dict lookup per
+        # label; anything else takes the checked path and its message.
+        bits = {label: 1 << i for i, label in enumerate(ground.elements)}
         for entry in entries:
             try:
                 labels, value = entry
             except (TypeError, ValueError):
                 raise InputError(f"table entry {entry!r} is not a [labels, value] pair")
-            mask = ground.mask_of(json_labels(labels, "a table entry's set"))
+            if type(labels) is not list:
+                labels = json_labels(labels, "a table entry's set")
+            mask = 0
+            try:
+                for label in labels:
+                    mask |= bits[label]
+            except KeyError:
+                mask = ground.mask_of(labels)
             if table[mask] is not None:
                 raise InputError(f"duplicate table entry for {sorted(labels)}")
-            table[mask] = json_int(value, "a table value")
+            if type(value) is not int:
+                value = json_int(value, "a table value")
+            table[mask] = value
         holes = table.count(None)
         if holes:
             raise InputError(f"table is missing {holes} of {1 << ground.n} subsets")

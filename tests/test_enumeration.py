@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ccsm.enumeration import (
 )
 from ccsm.errors import InputError
 from ccsm.families import (
+    FAMILY_NAMES,
     random_generalized_instance,
     random_instance,
     random_modular,
@@ -386,6 +388,64 @@ def test_candidate_family_grows_with_depth():
         prev = cur
 
 
+def test_candidate_sets_are_built_only_when_read(monkeypatch):
+    """A solve builds a label set for ``best`` alone; ``candidate_sets``,
+    built on first read, lists the distinct candidates in (f, |S|, lex)
+    order.  Equal runs compare equal, and ``replace`` keeps the
+    candidates."""
+    built = []
+    set_of = GroundSet.set_of
+
+    def counted_set_of(ground, mask):
+        built.append(mask)
+        return set_of(ground, mask)
+
+    monkeypatch.setattr(GroundSet, "set_of", counted_set_of)
+
+    def check(solution, f):
+        ground = solution.ground
+        assert built == ([] if solution.best is None else [ground.mask_of(solution.best)])
+        built.clear()
+        sets = solution.candidate_sets
+        assert built == list(solution.candidate_masks)
+        card_lex = card_lex_key(ground.elements)
+        assert len(set(sets)) == len(sets) == solution.candidates
+        assert sets == tuple(sorted(sets, key=lambda s: (f(s), card_lex(s))))
+        assert solution.candidate_sets is sets
+
+    rng = np.random.default_rng(66)
+    for family in FAMILY_NAMES:
+        for m in (2, 3, 5):
+            instance = random_instance(rng, family, int(rng.integers(5, 10)), m)
+            args = (instance.oracle, instance.ring, instance.constraint)
+            built.clear()
+            solution = enum_solve(*args)
+            check(solution, instance.oracle.eval)
+            assert enum_solve(*args) == solution
+    # Depth 0 collects the empty set alone, and it misses the residue.
+    oracle = SubmodularOracle(GroundSet(("a", "b")), Modular({}))
+    built.clear()
+    solution = enum_solve(oracle, None, CongruencyConstraint(2, 1), depth=0)
+    assert solution.best is None and solution.candidates == 1
+    check(solution, oracle.eval)
+    labels = tuple(f"x{i}" for i in range(8))
+    edges = tuple(
+        (labels[i], labels[j], int(rng.integers(1, 10)))
+        for i, j in combinations(range(8), 2)
+        if rng.random() < 0.4
+    )
+    for constraint in (CongruencyConstraint(3, 1), CongruencyConstraint(2, 0)):
+        problem = CutProblem(labels, edges, False, constraint, proper=True)
+        built.clear()
+        solution = solve_cut(problem)
+        check(solution, lambda s: naive_cut_undirected(edges, s))
+        again = solve_cut(problem)
+        assert again == solution
+        changed = replace(again, value=again.value + 1)
+        assert changed != solution
+        assert changed.candidate_sets == solution.candidate_sets
+
+
 def test_enum_matches_exhaustive_on_random_instances():
     rng = np.random.default_rng(44)
     for _ in range(40):
@@ -409,7 +469,7 @@ def test_enum_matches_exhaustive_on_random_instances():
     [(1, np.uint16), (2**16, np.uint32), (2**36, np.uint64)],
     ids=["uint16", "uint32", "uint64"],
 )
-def test_solves_match_the_reference_at_every_sweep_width(scale, width):
+def test_solves_match_the_reference_at_every_cell_width(scale, width):
     """Weights scaled so that every node table has cells of ``width``:
     ``enum_solve`` matches the exhaustive reference and a proper cut
     matches a brute-force scan, in value and in the (cardinality, lex)
@@ -453,7 +513,7 @@ def test_solves_match_the_reference_at_every_sweep_width(scale, width):
 
 
 @pytest.mark.parametrize("family", ["cut", "cut_directed", "coverage"])
-def test_solves_above_the_column_rule_match_the_reference(family):
+def test_solves_whose_levels_split_match_the_reference(family):
     """At n = 16 the node table's levels pass their cap and split: the value
     and the (cardinality, lex) first optimal set match the exhaustive
     reference, and every inclusion-minimal optimum is a candidate.  Draws
@@ -473,7 +533,7 @@ def test_solves_above_the_column_rule_match_the_reference(family):
         assert set(truth.all_minimal_optima) <= set(sol.candidate_sets)
 
 
-def test_a_proper_cut_above_the_column_rule_matches_a_dense_scan():
+def test_a_proper_cut_whose_levels_split_matches_a_dense_scan():
     """A proper cut at n = 16, m = 2 (a node table at depth 2) against a
     scan of all 2**16 sets: value and (cardinality, lex) first optimum."""
     rng = np.random.default_rng(65)
@@ -513,7 +573,7 @@ def test_a_proper_cut_above_the_column_rule_matches_a_dense_scan():
     ],
     ids=["2**16-2", "2**16-1", "2**32-2", "2**32-1"],
 )
-def test_sweep_width_is_the_first_whose_top_exceeds_the_scaled_range(n, weight, width):
+def test_cell_width_is_the_first_whose_top_exceeds_the_scaled_range(n, weight, width):
     """With f = weight * [x0 in S], (n + 1)(hi - lo) + n is the greatest
     cell, at the full set, and the ids give it: one below a width's top
     keeps that width and the top itself takes the next.  The rows of all

@@ -146,6 +146,81 @@ def test_table_holes_and_duplicates_are_rejected():
         instance_from_dict(payload)
 
 
+_TABLE = [[[], 0], [["a"], 1], [["b"], 1], [["a", "b"], 1]]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        pytest.param(
+            [[[], 0, 1], *_TABLE[1:]],
+            "table entry [[], 0, 1] is not a [labels, value] pair",
+            id="not-a-pair",
+        ),
+        pytest.param(
+            [["ab", 0], *_TABLE[1:]],
+            "a table entry's set must be a JSON list, got 'ab'",
+            id="labels-string",
+        ),
+        pytest.param(
+            [*_TABLE[:3], [["a", "z"], 1]], "unknown element label 'z'", id="unknown-label"
+        ),
+        pytest.param(
+            [*_TABLE[:3], [["a", ["b"]], 1]],
+            "malformed instance: unhashable type: 'list'",
+            id="unhashable-label",
+        ),
+        pytest.param(
+            [*_TABLE, [["b", "a"], 2]], "duplicate table entry for ['a', 'b']", id="duplicate"
+        ),
+        pytest.param(
+            [*_TABLE[:3], [["a", "b"], 1.0]],
+            "a table value must be a JSON integer, got 1.0",
+            id="value-float",
+        ),
+        pytest.param(
+            [*_TABLE[:3], [["a", "b"], True]],
+            "a table value must be a JSON integer, got True",
+            id="value-true",
+        ),
+        pytest.param(_TABLE[:2], "table is missing 2 of 4 subsets", id="holes"),
+        pytest.param(
+            [*_TABLE[:2], [["a"], 2], [["b"], 1.5], _TABLE[3]],
+            "duplicate table entry for ['a']",
+            id="duplicate-before-float",
+        ),
+        pytest.param(
+            [[["z"], 0], *_TABLE, [[], 1]],
+            "unknown element label 'z'",
+            id="unknown-before-duplicate",
+        ),
+        pytest.param(
+            [*_TABLE[:3], [["z", ["a"]], 1]],
+            "unknown element label 'z'",
+            id="unknown-before-unhashable",
+        ),
+        pytest.param(
+            [*_TABLE[:3], [[["a"], "z"], 1]],
+            "malformed instance: unhashable type: 'list'",
+            id="unhashable-before-unknown",
+        ),
+        pytest.param([*_TABLE[:3], [["b", "a", "b"], 1]], None, id="repeated-label"),
+    ],
+)
+def test_table_entry_faults_keep_their_messages(values, message):
+    """Each faulty explicit table is refused with the text of its first
+    fault, entry by entry in the order pair, label list, known labels,
+    duplicate, integer value; holes are counted after the last entry.
+    An entry that repeats a label is read as its set."""
+    payload = {"ground_set": ["a", "b"], "function": {"type": "explicit_table", "values": values}}
+    if message is None:
+        assert instance_from_dict(payload).oracle.value_table().tolist() == [0, 1, 1, 1]
+        return
+    with pytest.raises(InputError) as caught:
+        instance_from_dict(payload)
+    assert str(caught.value) == message
+
+
 def test_lattice_and_constraint_round_trip():
     payload = _base(
         {"type": "modular", "weights": {"a": 1}},
