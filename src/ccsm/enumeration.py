@@ -13,12 +13,16 @@ minimizer on every non-empty sublattice and it is the inclusion-minimal
 minimizer of f.  ``_node_table`` is the one place that computes them,
 for every pair, in ``_pinned_minimizers``:
 
-- cells: ``_scaled_cells`` writes g - base, base = (n + 1) lo, straight
-  from f, the feasibility table and |S| (no int64 table of g exists), in
-  the first of uint16 / uint32 / uint64 whose top value, which marks the
-  non-members, exceeds (n + 1)(hi - lo) + n; lo and hi bound f over the
-  members.  A constant shift, with the holes above every member, keeps
-  every ``<=`` made below, so each row is the one int64 cells would give;
+- cells: ``_scaled_cells`` has the oracle write g - base, base =
+  (n + 1) lo, straight from its spec (no table of f or g exists), in
+  the first of uint16 / uint32 / uint64 whose top value exceeds
+  (n + 1)(hi - lo) + n, where lo <= f <= hi are the spec's own bounds;
+  the ring then writes the top value at its non-members.  The cells are
+  computed mod 2**bits, and every true cell value lies in
+  [0, (n + 1)(hi - lo) + n], below the top, so each residue is the
+  value itself.  A constant shift, with the holes above every member,
+  keeps every ``<=`` made below, so each row is the one int64 cells
+  would give;
 - nodes: after t steps a node is a table of 2**(n - t) cells with the
   |A| and |B| it has taken: cell c holds the least cell over the sets
   that end in c and, on the top t bits, hold its A bits, avoid its B
@@ -45,9 +49,9 @@ non-empty pair.  The largest level holds 1.75 x 2**n cells at d = 1 and
 4.4 x 2**n at d = 2, so a level that would pass max(2**n, 2**16) cells
 is built from pieces of the node list, one after another, each taken to
 its leaves before the next; a lone node passes its B- and A-children on
-as views of its halves.  The traced peak, the feasibility table
-included, is 6.0-6.1 bytes a cell at d = 1 (n = 16 ... 24) and
-9.7-10.6 at d = 2 (n = 20, 17).  The README gives timings.
+as views of its halves.  The traced peak of a whole ``enum_solve`` on
+a cut, cells included, is 6.0-6.1 bytes a cell at d = 1 (n = 16 ... 24)
+and 9.7-10.6 at d = 2 (n = 20, 17).  The README gives timings.
 
 Each non-empty pair gets a row: its minimizer, the minimizer's g, |A|
 and |B|.  ``_select`` orders the distinct sets by (g, lex); no reader
@@ -113,27 +117,17 @@ class _NodeTable:
 
 
 def _scaled_cells(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarray, int]:
-    """The level-0 cells and base of the module docstring.  No 2**n
-    temporary is wider than the cells: |S| is uint8 (n <= 24)."""
+    """The level-0 cells and base of the module docstring: the oracle
+    writes them in the cell width, picked from its spec's bounds
+    lo <= f <= hi, and the ring writes the top value at its non-members."""
     n = oracle.ground.n
-    f = oracle.value_table()
-    member = ring.feasibility_table()
-    # range_bound >= max |f| stands in for lo where there is no member.
-    lo = int(f.min(initial=oracle.range_bound, where=member))
-    hi = int(f.max(initial=lo, where=member))
+    lo, hi = oracle.bounds
     span = (n + 1) * (hi - lo) + n
     width = next(t for t in (np.uint16, np.uint32, np.uint64) if np.iinfo(t).max > span)
-    # Holes wrap around here; they are overwritten last.
-    cells = np.empty(1 << n, dtype=width)
-    np.subtract(f, lo, out=cells, casting="unsafe")
-    cells *= n + 1
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        np.add(sizes[: 1 << i], 1, out=sizes[1 << i : 2 << i])
-    cells += sizes
-    del sizes
-    cells[~member] = np.iinfo(width).max
-    return cells, (n + 1) * lo
+    base = (n + 1) * lo
+    cells = oracle.cells(width, scale=n + 1, sizes=True, shift=base)
+    ring.mark_non_members(cells, np.iinfo(width).max)
+    return cells, base
 
 
 def _pinned_minimizers(cells: np.ndarray, base: int, n: int, d: int) -> _NodeTable:

@@ -114,21 +114,26 @@ class RingFamily:
     # -- dense views ----------------------------------------------------
 
     def feasibility_table(self) -> np.ndarray:
-        """Boolean table over all 2**n masks marking members of the family.
+        """Boolean table over all 2**n masks marking members of the family."""
+        require_exhaustible(self.ground.n, "materializing a lattice feasibility table")
+        ok = np.ones(1 << self.ground.n, dtype=bool)
+        self.mark_non_members(ok, False)
+        return ok
+
+    def mark_non_members(self, table: np.ndarray, value) -> None:
+        """Write ``value`` at every non-member mask of the 2**n ``table``.
 
         Each forced element and each arc rules out one sub-cube of the
         table, written as a strided view with its one or two bits fixed.
         """
         n = self.ground.n
-        require_exhaustible(n, "materializing a lattice feasibility table")
-        ok = np.ones(1 << n, dtype=bool)
-        cube = ok.reshape((2,) * n)
+        cube = table.reshape((2,) * n)
 
         def rule_out(*fixed: tuple[int, int]) -> None:
             view = [slice(None)] * n
             for i, bit in fixed:
                 view[n - 1 - i] = bit  # axis k of the cube is element n - 1 - k
-            cube[tuple(view)] = False
+            cube[tuple(view)] = value
 
         for i in iter_bits(self.forced_in):
             rule_out((i, 0))
@@ -136,7 +141,6 @@ class RingFamily:
             rule_out((i, 1))
         for u, v in self.implications:
             rule_out((u, 1), (v, 0))
-        return ok
 
     def members(self) -> list[frozenset[str]]:
         """All members in (cardinality, lexicographic) order; exhaustive sizes only."""

@@ -3,19 +3,28 @@
 A :class:`SubmodularOracle` pairs a ground set with one of the function
 specs below and exposes scalar and full-table evaluation.  Values are
 integers throughout; every oracle also carries ``range_bound``, an upper
-bound on ``max |f|``.  Functions whose scaled values could pass
+bound on ``max |f|``, and ``bounds``, lo <= f <= hi read off the spec:
+the sums of the negative and of the positive weights, 0 and the total
+edge weight, 0 and the item count, or an explicit table's least and
+greatest entry.  Functions whose scaled values could pass
 ``limits._SENTINEL`` are refused with ``InputError``.
 
 ``Modular``, ``CutUndirected`` and ``CutDirected`` specs compile to one
 pairwise energy f(S) = sum_i a_i x_i + sum_{j<i} b_ij x_i x_j with every
 b_ij <= 0 (a modular spec is the case b = 0), the form a graph
 construction for pinned minimizers reads (Kolmogorov & Zabih 2004).
-The dense table is built by bit doubling: the half of the table whose
-masks hold bit i is the lower half plus one cheap step (a_i plus the
-modular table of row b_i for the energy, an OR for coverage), so a table
-over 2**n sets costs O(2**n) numpy work however many edges or items the
-spec has.  Every intermediate is at most 3 * range_bound in absolute
-value, so the int64 arithmetic is exact.  The scalar ``eval_mask``
+
+``SubmodularOracle.cells`` writes scale * f(S) + |S| - shift mod
+2**bits over all 2**n sets, in any integer dtype, by bit doubling: the
+half of the table whose masks hold bit i is the lower half plus one
+cheap step (a_i plus the table of row b_i for the energy, an OR for
+coverage's item words), so a table costs O(2**n) numpy work however many
+edges or items the spec has.  Each constant is reduced mod 2**bits in
+Python before it meets an array, and the residues are exact whatever
+the intermediates.  The solver's node table asks for its cells in its
+own width; ``value_table`` is the cached int64 call at scale 1 with no
+size term, for the exhaustive reference, the submodularity check and
+the tests, and is not on the solve path.  The scalar ``eval_mask``
 follows the spec's definition (weights, edge lists, item sets) directly
 and never reads the compiled energy or the cached table, so it is the
 independent check on both.
@@ -100,22 +109,37 @@ def _check_edge_list(ground: GroundSet, items, kind: str):
 _WORD = (1 << 64) - 1
 
 
-def _energy_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Table of sum a_i x_i + sum_{j<i} b_ij x_i x_j over all 2**len(a) masks.
+def _residues(values: list[int], dtype: np.dtype) -> np.ndarray:
+    """``values`` mod 2**bits in the integer ``dtype`` of at most 64 bits
+    (two's complement for a signed one).  numpy 2 refuses a Python int
+    outside a dtype's range, so every constant is reduced here, in Python,
+    before it meets an array; the cast from uint64 keeps the low bits."""
+    return np.array([v & _WORD for v in values], dtype=np.uint64).astype(dtype)
 
-    The upper half for bit i is the lower half plus a_i plus, where row
-    b_i is non-zero, the modular table of b_i over the bits below i.  With
-    b = 0 this is the plain modular table.
+
+def _energy_cells(a: list[int], b: list[list[int]], shift: int, dtype: np.dtype) -> np.ndarray:
+    """sum a_i x_i + sum_{j<i} b_ij x_i x_j - shift mod 2**bits, over all
+    2**len(a) masks, in ``dtype``; row i of ``b`` holds b_ij for j < i.
+
+    The upper half for bit i is the lower half plus the table of
+    a_i + sum_j b_ij x_j over the bits below i, written by doubling in one
+    scratch buffer; a row with no b_ij is the constant a_i.
     """
     n = len(a)
-    t = np.zeros(1 << n, dtype=np.int64)
-    rows = b.any(axis=1)
+    a = _residues(a, dtype)
+    t = np.empty(1 << n, dtype=dtype)
+    t[0] = _residues([-shift], dtype)[0]
+    scratch = np.empty(1 << max(n - 1, 0), dtype=dtype)
     for i in range(n):
         h = 1 << i
-        upper = t[h : 2 * h]
-        np.add(t[:h], a[i], out=upper)
-        if rows[i]:
-            upper += _energy_table(b[i, :i], np.zeros((i, i), dtype=np.int64))
+        if not any(b[i]):
+            np.add(t[:h], a[i], out=t[h : 2 * h])
+            continue
+        row = _residues(b[i], dtype)
+        scratch[0] = a[i]
+        for j in range(i):
+            np.add(scratch[: 1 << j], row[j], out=scratch[1 << j : 2 << j])
+        np.add(t[:h], scratch[:h], out=t[h : 2 * h])
     return t
 
 
@@ -142,6 +166,7 @@ class SubmodularOracle:
             for lab, wt in spec.weights.items():
                 weights[ground.index(lab)] = _integer(wt, "a modular weight")
             self._set_range_bound(sum(abs(w) for w in weights))
+            self.bounds = (sum(w for w in weights if w < 0), sum(w for w in weights if w > 0))
             self._a = np.array(weights, dtype=np.int64)
             self._b = np.zeros((n, n), dtype=np.int64)
         elif isinstance(spec, (CutUndirected, CutDirected)):
@@ -149,6 +174,7 @@ class SubmodularOracle:
             items = spec.edges if undirected else spec.arcs
             triples = _check_edge_list(ground, items, type(spec).__name__)
             self._set_range_bound(sum(t[2] for t in triples))
+            self.bounds = (0, self.range_bound)
             self._eu = np.array([t[0] for t in triples], dtype=np.int64)
             self._ev = np.array([t[1] for t in triples], dtype=np.int64)
             self._ew = np.array([t[2] for t in triples], dtype=np.int64)
@@ -175,6 +201,7 @@ class SubmodularOracle:
             self._covers = covers
             self._n_items = len(items)
             self._set_range_bound(len(items))
+            self.bounds = (0, len(items))
         elif isinstance(spec, ExplicitTable):
             # np.asarray reads (0, True) as int64, so a sequence's bools are
             # looked for value by value; an ndarray's dtype tells.
@@ -191,8 +218,10 @@ class SubmodularOracle:
                 raise InputError(
                     f"explicit table values must be integers that fit in int64, got {vals.dtype}"
                 )
-            self._set_range_bound(max(int(vals.max()), -int(vals.min())))
-            self._table = vals.astype(np.int64, copy=False)
+            lo, hi = int(vals.min()), int(vals.max())
+            self._set_range_bound(max(hi, -lo))
+            self.bounds = (lo, hi)
+            self._values = vals.astype(np.int64, copy=False)
         else:
             raise InputError(f"unknown function spec {spec!r}")
 
@@ -245,30 +274,52 @@ class SubmodularOracle:
         raise AssertionError(spec)
 
     def value_table(self) -> np.ndarray:
-        """The dense table f over all 2**n subsets (cached), built by bit doubling.
-
-        Step i writes ``t[2**i : 2**(i+1)]`` from ``t[:2**i]``: O(2**n) numpy
-        work per table.  Intermediates stay within 3 * range_bound, which
-        ``(n + 2) * range_bound <= _SENTINEL`` keeps exact in int64.
-        """
+        """The dense int64 table f over all 2**n subsets (cached): ``cells``
+        at scale 1, with no size term and no shift.  The solver does not
+        read it; its node table asks ``cells`` for its own width."""
         if self._table is None:
-            require_exhaustible(self.ground.n, "materializing a value table")
-            if isinstance(self.spec, Coverage):
-                self._table = self._coverage_table()
-            else:
-                self._table = _energy_table(self._a, self._b)
+            self._table = self.cells(np.int64)
         return self._table
 
-    def _coverage_table(self) -> np.ndarray:
-        """Item counts: an OR-doubled uint64 table per 64-item word, popcounted."""
-        n = self.ground.n
-        t = np.zeros(1 << n, dtype=np.int64)
-        for shift in range(0, self._n_items, 64):
+    def cells(
+        self, dtype, *, scale: int = 1, sizes: bool = False, shift: int = 0
+    ) -> np.ndarray:
+        """scale * f(S) + |S| - shift (or, without ``sizes``, scale * f(S) -
+        shift) mod 2**bits over all 2**n masks S, in the integer ``dtype``
+        of ``bits`` bits, built by bit doubling: O(2**n) numpy work however
+        many edges or items the spec has.
+
+        Integers mod 2**bits form a ring, so every entry is the residue of
+        its value whatever the intermediates were, and is the value itself
+        when that lies in the dtype's range.  The energy folds the size
+        term into its linear part, a' = scale * a + 1 and b' = scale * b.
+        Coverage and explicit tables start from the size term and the
+        shift alone (a' = 1, b' = 0); coverage adds scale times the
+        popcount of its OR-doubled item words, an explicit table scale
+        times its values.
+        """
+        require_exhaustible(self.ground.n, "materializing a value table")
+        dtype = np.dtype(dtype)
+        spec, n, size = self.spec, self.ground.n, int(sizes)
+        if isinstance(spec, (Modular, CutUndirected, CutDirected)):
+            a = [scale * w + size for w in self._a.tolist()]
+            b = [[scale * w for w in row[:i]] for i, row in enumerate(self._b.tolist())]
+            return _energy_cells(a, b, shift, dtype)
+        t = _energy_cells([size] * n, [[]] * n, shift, dtype)
+        factor = _residues([scale], dtype)[0]
+        if isinstance(spec, ExplicitTable):
+            values = self._values.astype(dtype)
+            values *= factor
+            t += values
+            return t
+        for at in range(0, self._n_items, 64):
             word = np.zeros(1 << n, dtype=np.uint64)
             for i, cov in enumerate(self._covers):
                 h = 1 << i
-                np.bitwise_or(word[:h], np.uint64((cov >> shift) & _WORD), out=word[h : 2 * h])
-            t += np.bitwise_count(word)
+                np.bitwise_or(word[:h], np.uint64((cov >> at) & _WORD), out=word[h : 2 * h])
+            counts = np.bitwise_count(word)
+            del word
+            t += counts if scale == 1 else np.multiply(counts, factor, dtype=dtype)
         return t
 
 

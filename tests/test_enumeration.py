@@ -36,7 +36,7 @@ from ccsm.families import (
 )
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
-from ccsm.oracles import CutUndirected, Modular, SubmodularOracle
+from ccsm.oracles import Coverage, CutUndirected, Modular, SubmodularOracle
 from ccsm.reference import exhaustive_solve
 from helpers import (
     brute_constrained_min,
@@ -563,46 +563,128 @@ def test_a_proper_cut_whose_levels_split_matches_a_dense_scan():
         assert solution.best == min(optima, key=card_lex_key(labels))
 
 
-@pytest.mark.parametrize(
-    "n, weight, width",
-    [
-        (2, 21_844, np.uint16),
-        (1, 2**15 - 1, np.uint32),
-        (2, 1_431_655_764, np.uint32),
-        (1, 2**31 - 1, np.uint64),
-    ],
-    ids=["2**16-2", "2**16-1", "2**32-2", "2**32-1"],
-)
-def test_cell_width_is_the_first_whose_top_exceeds_the_scaled_range(n, weight, width):
-    """With f = weight * [x0 in S], (n + 1)(hi - lo) + n is the greatest
-    cell, at the full set, and the ids give it: one below a width's top
-    keeps that width and the top itself takes the next.  The rows of all
-    pairs, the full set's included, are the pinned sides A themselves."""
+# id: (spec kind, n, weight, width).  f is weight * [x0 in S] for
+# "modular", a single edge x0x1 of that weight for "cut" and x0 covering
+# that many items for "coverage", so the spec's bounds are 0 and weight
+# and the id names the scaled range (n + 1) * weight + n (modular ids
+# carry no kind).  Coverage stops at the uint16 boundaries: reaching
+# uint64 would take about 2**32 / (n + 1) items.
+WIDTH_EDGES = {
+    "2**16-2": ("modular", 2, 21_844, np.uint16),
+    "2**16-1": ("modular", 1, 2**15 - 1, np.uint32),
+    "2**32-2": ("modular", 2, 1_431_655_764, np.uint32),
+    "2**32-1": ("modular", 1, 2**31 - 1, np.uint64),
+    "cut-2**16-2": ("cut", 2, 21_844, np.uint16),
+    "cut-2**16-1": ("cut", 3, 16_383, np.uint32),
+    "cut-2**32-2": ("cut", 2, 1_431_655_764, np.uint32),
+    "cut-2**32-1": ("cut", 3, 2**30 - 1, np.uint64),
+    "coverage-2**16-2": ("coverage", 2, 21_844, np.uint16),
+    "coverage-2**16-1": ("coverage", 3, 16_383, np.uint32),
+}
+
+
+@pytest.mark.parametrize("kind, n, weight, width", WIDTH_EDGES.values(), ids=WIDTH_EDGES)
+def test_cell_width_is_the_first_whose_top_exceeds_the_scaled_range(kind, n, weight, width):
+    """The width is picked from the spec's bounds: the ids give the scaled
+    range (n + 1)(hi - lo) + n, and one below a width's top keeps that
+    width while the top itself takes the next.  The rows of all pairs
+    match a scan of each interval for its least g = (n + 1) f + |S|."""
     labels = tuple(f"x{i}" for i in range(n))
-    oracle = SubmodularOracle(GroundSet(labels), Modular({"x0": weight}))
-    ring = RingFamily.full(oracle.ground)
+    ground = GroundSet(labels)
+    if kind == "modular":
+        spec = Modular({"x0": weight})
+    elif kind == "cut":
+        spec = CutUndirected((("x0", "x1", weight),))
+    else:
+        spec = Coverage({"x0": tuple(f"i{j}" for j in range(weight))})
+    oracle = SubmodularOracle(ground, spec)
+    assert oracle.bounds == (0, weight)
+    ring = RingFamily.full(ground)
     assert _scaled_cells(oracle, ring)[0].dtype == width
-    want = sorted(
-        (len(a), len(b), sum(1 << i for i in a), (n + 1) * weight * (0 in a) + len(a))
-        for a, b in candidate_pairs(n, n)
+    want = []
+    for a, b in candidate_pairs(n, n):
+        inside, outside = sum(1 << i for i in a), sum(1 << i for i in b)
+        scan = sorted(
+            ((n + 1) * oracle.eval_mask(s) + s.bit_count(), s)
+            for s in range(1 << n)
+            if s & inside == inside and not s & outside
+        )
+        assert len(scan) == 1 or scan[0][0] < scan[1][0]
+        want.append((len(a), len(b), scan[0][1], scan[0][0]))
+    assert _rows_by_sizes(_node_table(oracle, ring, n)) == sorted(want)
+
+
+def test_cell_width_follows_the_spec_bounds_where_the_ring_narrows_the_members():
+    """With x0 forced out, f lies in [-2, 1] on the members, but the width
+    follows the spec's bounds [-2, 20001]: 4 * 20003 + 3 = 80015 takes
+    uint32 where the members' range alone would fit uint16.  The answer
+    is the exhaustive reference's."""
+    ground = GroundSet(("x0", "x1", "x2"))
+    oracle = SubmodularOracle(ground, Modular({"x0": 20_000, "x1": -2, "x2": 1}))
+    ring = RingFamily.from_labels(ground, forced_out=("x0",))
+    constraint = CongruencyConstraint(2, 0)
+    assert oracle.bounds == (-2, 20_001)
+    assert _scaled_cells(oracle, ring)[0].dtype == np.uint32
+    sol = enum_solve(oracle, ring, constraint)
+    truth = exhaustive_solve(oracle, ring, constraint)
+    assert sol.guaranteed and sol.value == truth.optimum == -1
+    assert (sol.best,) == truth.all_minimal_optima == (frozenset({"x1", "x2"}),)
+
+
+def test_the_solve_path_builds_no_value_table(monkeypatch):
+    """With ``value_table`` patched to raise, ``enum_solve`` on modular,
+    cut, directed-cut and coverage oracles and a proper ``solve_cut``
+    still give the reference answers computed beforehand: the cells come
+    from the spec, not from an int64 table of f."""
+    rng = np.random.default_rng(67)
+    runs = []
+    for family in ("modular", "cut", "cut_directed", "coverage"):
+        for m in (2, 3):
+            instance = random_instance(rng, family, 9, m)
+            truth = exhaustive_solve(instance.oracle, instance.ring, instance.constraint)
+            fresh = SubmodularOracle(instance.ground, instance.oracle.spec)
+            runs.append((fresh, instance, truth))
+    labels = tuple(f"x{i}" for i in range(9))
+    edges = tuple(
+        (labels[i], labels[j], int(rng.integers(1, 10)))
+        for i in range(9)
+        for j in range(i + 1, 9)
+        if rng.random() < 0.5
     )
-    assert _rows_by_sizes(_node_table(oracle, ring, n)) == want
+    best, optima = brute_constrained_min(
+        labels,
+        lambda s: naive_cut_undirected(edges, s),
+        lambda s: len(s) % 3 == 1 and 0 < len(s) < 9,
+    )
+
+    def refuse(self):
+        raise AssertionError("value_table() called on the solve path")
+
+    monkeypatch.setattr(SubmodularOracle, "value_table", refuse)
+    for oracle, instance, truth in runs:
+        sol = enum_solve(oracle, instance.ring, instance.constraint)
+        assert sol.guaranteed and sol.value == truth.optimum
+        if truth.optimum is not None:
+            card_lex = card_lex_key(instance.ground.elements)
+            assert sol.best == min(truth.all_minimal_optima, key=card_lex)
+    solution = solve_cut(CutProblem(labels, edges, False, CongruencyConstraint(3, 1), True))
+    assert solution.guaranteed and solution.value == best
+    assert solution.best == min(optima, key=card_lex_key(labels))
 
 
 def test_node_table_builds_no_int64_table_of_g():
-    """With the value table built, the node table of a cut at n = 16,
-    d = 1 peaks below 8 bytes a cell, the feasibility table included: the
-    cells are written in their cell width, with no 2**n int64 table of
-    g = (n + 1) f + |S| in between."""
+    """``enum_solve`` on a fresh cut oracle at n = 16, d = 1 peaks below 8
+    bytes a cell: the cells are written in their cell width straight from
+    the spec, with no 2**n int64 table of f or of g = (n + 1) f + |S|."""
     n = 16
     instance = random_instance(np.random.default_rng(50), "cut", n, 2)
-    instance.oracle.value_table()
     tracemalloc.start()
     try:
-        _node_table(instance.oracle, instance.ring, 1)
+        sol = enum_solve(instance.oracle, instance.ring, instance.constraint)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert sol.depth == 1
     assert peak < 8 << n
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from ccsm.constraints import tcut_reduce
 from ccsm.errors import InputError
-from ccsm.families import random_oracle
+from ccsm.families import FAMILY_NAMES, random_oracle
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
 from ccsm.limits import _SENTINEL
@@ -306,6 +306,40 @@ def test_range_bound_dominates_all_values():
     for oracle, _ in _random_oracles(seed=11):
         table = oracle.value_table()
         assert int(np.abs(table).max()) <= oracle.range_bound
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.uint16, np.uint32, np.uint64, np.int64], ids=lambda t: np.dtype(t).name
+)
+def test_cells_are_the_scaled_values_mod_two_to_the_bits(dtype):
+    """``cells`` against ``value_table`` on all five spec kinds at
+    n = 0 ... 10: scale * f + |S| - shift (and scale * f - shift without
+    the size term) mod 2**bits, for the solver's own scale and shift and
+    for ones far past the width.  The modular weights are multiples of
+    -2**40 ... 2**40, so their scaled constants wrap in every width.
+    Every value lies within the oracle's bounds, and the modular and
+    coverage bounds are attained."""
+    rng = np.random.default_rng(31)
+    mod = 1 << np.iinfo(dtype).bits
+    for n in range(11):
+        for family in FAMILY_NAMES:
+            oracle = random_oracle(rng, family, n)
+            if family == "modular":
+                weights = {x: int(rng.integers(-9, 10)) << 40 for x in oracle.ground.elements}
+                oracle = SubmodularOracle(oracle.ground, Modular(weights))
+            f = oracle.value_table().tolist()
+            lo, hi = oracle.bounds
+            assert lo <= min(f) and max(f) <= hi
+            if family in ("modular", "coverage"):
+                assert (min(f), max(f)) == (lo, hi)
+            sizes = [mask.bit_count() for mask in range(1 << n)]
+            wide = int(rng.integers(1, 1 << 62))
+            for scale, shift in ((n + 1, (n + 1) * lo), (wide, -wide), (1, wide)):
+                for with_sizes in (True, False):
+                    cells = oracle.cells(dtype, scale=scale, sizes=with_sizes, shift=shift)
+                    assert cells.dtype == dtype and cells.shape == (1 << n,)
+                    want = [(scale * v + with_sizes * k - shift) % mod for v, k in zip(f, sizes)]
+                    assert [c % mod for c in cells.tolist()] == want
 
 
 def test_values_beyond_int64_headroom_are_refused():
