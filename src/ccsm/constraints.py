@@ -19,7 +19,7 @@ from .errors import InputError
 from .ground import GroundSet, popcount
 from .lattice import RingFamily
 from .limits import require_exhaustible
-from .oracles import ExplicitTable, SubmodularOracle
+from .oracles import ExplicitTable, SubmodularOracle, _integer
 
 
 def is_prime_power(m: int) -> tuple[int, int] | None:
@@ -39,11 +39,17 @@ def is_prime_power(m: int) -> tuple[int, int] | None:
     return None
 
 
-def _check_residue(modulus: int, residue: int, what: str) -> None:
+def _check_residue(modulus: int, residue: int, what: str) -> int:
+    """``residue`` as a Python int; ``InputError`` unless ``modulus`` and
+    ``residue`` are integers (as ``oracles._integer`` reads them) with
+    0 <= residue < modulus."""
+    modulus = _integer(modulus, f"{what} modulus")
+    residue = _integer(residue, f"{what} residue")
     if modulus < 1:
         raise InputError(f"{what} modulus must be >= 1, got {modulus}")
     if not 0 <= residue < modulus:
         raise InputError(f"{what} residue must lie in [0, {modulus}), got {residue}")
+    return residue
 
 
 class _Congruences:
@@ -92,9 +98,9 @@ class GeneralizedConstraint(_Congruences):
     def __post_init__(self):
         if not self.terms:
             raise InputError("generalized constraint needs at least one term")
-        norm = tuple((frozenset(s), int(r)) for s, r in self.terms)
-        for _, r in norm:
-            _check_residue(self.modulus, r, "generalized")
+        norm = tuple(
+            (frozenset(s), _check_residue(self.modulus, r, "generalized")) for s, r in self.terms
+        )
         object.__setattr__(self, "terms", norm)
 
     @property

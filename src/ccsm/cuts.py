@@ -7,16 +7,16 @@ given terminal sets.  With ``proper`` set, the trivial cuts (empty set and
 all vertices) are excluded by taking the best over all pinned runs that
 force one vertex inside and another outside; each pinned run is an
 ordinary lattice restriction, so exactness guarantees carry over.  The
-runs are not solved one by one: together they read the pairs of one
-depth + 1 table whose sides are both non-empty.
+runs are not solved one by one: the enumeration's route answers them
+together, and computes their counters (``enumeration._table_route``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import CongruencyConstraint, GeneralizedConstraint, default_depth
-from .enumeration import EnumSolution, _checked_depth, _node_table, _select, enum_solve, pair_count
+from .constraints import CongruencyConstraint, GeneralizedConstraint
+from .enumeration import EnumSolution, _solve
 from .errors import InputError
 from .ground import GroundSet
 from .instances import json_edges
@@ -89,33 +89,15 @@ def _mode_constraint(mode: CutMode):
 def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
     """Solve the constrained cut problem exactly for prime-power moduli.
 
-    The proper variant answers all n(n - 1) pinned runs (u inside, v
-    outside) from one pair table at depth + 1: the pinned pair (A, B) of
-    run (u, v) is the unpinned pair (A + u, B + v), so the runs together
-    cover exactly the table pairs whose sides are both non-empty, and
-    their best answer is the best feasible set collected there.  The
-    counters add up the runs: a non-empty table pair (A, B) is used by
-    |A| * |B| runs, so ``sfm_calls`` is the sum of |A| * |B| over the
-    table's rows and ``skipped_empty`` is
-    ``n * (n - 1) * pair_count(n, depth) - sfm_calls``.  Otherwise the
-    counters are those of one ``enum_solve`` run, which sum to
-    ``pair_count(n, depth)``.
+    The proper variant takes the best feasible set over all n(n - 1)
+    pinned runs (u inside, v outside), which the enumeration's route
+    answers from one pair table at depth + 1; it also sums the runs'
+    counters, so ``sfm_calls`` and ``skipped_empty`` add up to
+    ``n * (n - 1) * pair_count(n, depth)``.  Otherwise the counters are
+    those of one ``enum_solve`` run, which sum to ``pair_count(n, depth)``.
     """
     ground = GroundSet(problem.vertices)
     spec = CutDirected(problem.edges) if problem.directed else CutUndirected(problem.edges)
     oracle = SubmodularOracle(ground, spec)
     constraint = _mode_constraint(problem.mode)
-    if depth is None:
-        depth = default_depth(constraint)
-    depth = _checked_depth(depth)
-    ring = RingFamily.full(ground)
-    if not problem.proper:
-        return enum_solve(oracle, ring, constraint, depth)
-
-    n = ground.n
-    rows = _node_table(oracle, ring, depth + 1)
-    runs = rows.asize * rows.bsize
-    keep = runs != 0
-    sfm_calls = int(runs.sum())
-    pairs = n * (n - 1) * pair_count(n, depth)
-    return _select(ground, rows.setmask[keep], rows.g[keep], constraint, depth, sfm_calls, pairs)
+    return _solve(oracle, RingFamily.full(ground), constraint, depth, problem.proper)

@@ -10,8 +10,8 @@ Every pinned minimizer minimizes the scaled objective
 g(S) = (n + 1) f(S) + |S| over the dense 2**n table: minimizers of f on a
 lattice are closed under union and intersection, so g has a unique
 minimizer on every non-empty sublattice and it is the inclusion-minimal
-minimizer of f.  ``_node_table`` is the one place that computes them,
-for every pair, in ``_pinned_minimizers``:
+minimizer of f.  The table route computes them for every pair at once,
+in ``_pinned_minimizers``:
 
 - cells: ``_scaled_cells`` has the oracle write g - base, base =
   (n + 1) lo, straight from its spec (no table of f or g exists), in
@@ -53,15 +53,16 @@ as views of its halves.  The traced peak of a whole ``enum_solve`` on
 a cut, cells included, is 6.0-6.1 bytes a cell at d = 1 (n = 16 ... 24)
 and 9.7-10.6 at d = 2 (n = 20, 17).  The README gives timings.
 
-Each non-empty pair gets a row: its minimizer, the minimizer's g, |A|
-and |B|.  ``_select`` orders the distinct sets by (g, lex); no reader
-relies on the row order.  As 0 <= |S| <= n < n + 1, that is
-(f, |S|, lex) order.
+Each non-empty pair gets a row: its minimizer, the minimizer's cell, |A|
+and |B|, in no order a reader relies on.  A route, ``_route(oracle,
+ring, depth, proper)``, hands over the distinct minimizers as Python
+ints in (g, lex) order, which as 0 <= |S| <= n < n + 1 is (f, |S|, lex)
+order, with their g and the pair counters (``_Candidates``).  ``_solve``
+reads nothing else, so no int64 and no size cap reaches it.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -75,7 +76,7 @@ from .errors import InputError
 from .ground import GroundSet, reversed_bits_array
 from .lattice import RingFamily
 from .limits import require_exhaustible
-from .oracles import SubmodularOracle
+from .oracles import SubmodularOracle, _integer
 
 ROUTE_TABLE = "table"
 
@@ -104,18 +105,6 @@ def candidate_pairs(n: int, d: int) -> Iterator[tuple[tuple[int, ...], tuple[int
                     yield a, b
 
 
-@dataclass
-class _NodeTable:
-    """One row per non-empty pair (A, B): the minimal minimizer over
-    [A, N - B], its scaled value g, and the sizes |A| and |B|, all int64.
-    Empty pairs have no row, and no reader relies on the row order."""
-
-    setmask: np.ndarray
-    g: np.ndarray
-    asize: np.ndarray
-    bsize: np.ndarray
-
-
 def _scaled_cells(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarray, int]:
     """The level-0 cells and base of the module docstring: the oracle
     writes them in the cell width, picked from its spec's bounds
@@ -130,12 +119,12 @@ def _scaled_cells(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarra
     return cells, base
 
 
-def _pinned_minimizers(cells: np.ndarray, base: int, n: int, d: int) -> _NodeTable:
+def _pinned_minimizers(cells: np.ndarray, n: int, d: int) -> _Rows:
     """The node table of the pairs up to depth ``d``: per pair whose
     interval [A, N - B] holds a member (a cell below ``top``, the maximum
     of the cells' unsigned dtype), one row with the argmin of ``cells``
-    there that is greatest in bit-reversed order, and its g = cell +
-    ``base``, which must fit in int64.  ``cells`` is left as it is.
+    there that is greatest in bit-reversed order (an int64 mask), its
+    cell, |A| and |B|.  ``cells`` is left as it is.
 
     The steps of the module docstring write the sum over t >= 1 of
     N_d(t) 2**(n - t) cells, and a level that would pass
@@ -150,8 +139,7 @@ def _pinned_minimizers(cells: np.ndarray, base: int, n: int, d: int) -> _NodeTab
     cap = max(1 << n, 1 << 16)
     rows, leaves = _climb(_descend(cells.reshape(1, -1), zero, zero, d, cap))
     assert leaves == pair_count(n, d)
-    setmask, value, asize, bsize = (column.astype(np.int64, copy=False) for column in rows[:4])
-    return _NodeTable(setmask, value + base, asize, bsize)
+    return rows
 
 
 class _Rows(NamedTuple):
@@ -279,11 +267,49 @@ def _backtrack(
     return rows._replace(setmask=bit, node=parent)
 
 
-def _node_table(oracle: SubmodularOracle, ring: RingFamily, dmax: int) -> _NodeTable:
-    """Minimal minimizers of the non-empty pairs up to depth ``dmax``."""
+class _Candidates(NamedTuple):
+    """A route's answer: the distinct minimizers in (g, lex) order, their
+    g, the non-empty pairs and all pairs, as Python ints."""
+
+    masks: list[int]
+    g: list[int]
+    sfm_calls: int
+    pairs: int
+
+
+def _table_route(
+    oracle: SubmodularOracle, ring: RingFamily, depth: int, proper: bool
+) -> _Candidates:
+    """The candidates of the pairs up to ``depth`` from the node table.
+
+    With ``proper``, the candidates of all n(n - 1) pinned runs of a
+    proper cut (u inside, v outside), read off one table at depth + 1:
+    the pinned pair (A, B) of run (u, v) is the unpinned pair
+    (A + u, B + v), so the runs together cover exactly the table pairs
+    whose sides are both non-empty, and a non-empty one of those is used
+    by |A| * |B| runs.  So ``sfm_calls`` is the sum of |A| * |B| over the
+    table's rows and the pair total is n(n - 1) ``pair_count(n, depth)``.
+    """
     n = oracle.ground.n
     require_exhaustible(n, "pair-enumeration solving")
-    return _pinned_minimizers(*_scaled_cells(oracle, ring), n, dmax)
+    cells, base = _scaled_cells(oracle, ring)
+    rows = _pinned_minimizers(cells, n, depth + proper)
+    setmask, value = rows.setmask, rows.value
+    sfm_calls, pairs = len(setmask), pair_count(n, depth)
+    if proper:
+        runs = np.multiply(rows.asize, rows.bsize, dtype=np.int64)
+        keep = runs != 0
+        setmask, value = setmask[keep], value[keep]
+        sfm_calls, pairs = int(runs.sum()), n * (n - 1) * pairs
+    sets, first = np.unique(setmask, return_index=True)
+    value = value[first]
+    order = _candidate_order(sets, value, n)
+    g = [cell + base for cell in value[order].tolist()]
+    return _Candidates(sets[order].tolist(), g, sfm_calls, pairs)
+
+
+# The route ``_solve`` calls; a test may put another in its place.
+_route = _table_route
 
 
 @dataclass(frozen=True)
@@ -296,7 +322,8 @@ class EnumSolution:
     ``skipped_empty`` the rest, so the two sum to ``pair_count(n, depth)``;
     a proper ``solve_cut`` sums them over its pinned runs instead.
     ``route`` names how the pinned minimizers were computed; the only
-    route is ``"table"``, the bit elimination over the dense value table.
+    route is ``"table"``, the node table's bit elimination over cells
+    written from the oracle's spec.
 
     ``candidate_masks`` holds the distinct candidates as masks over
     ``ground``, in (value, cardinality, lex) order.  ``candidate_sets``,
@@ -322,10 +349,11 @@ class EnumSolution:
         return tuple(self.ground.set_of(m) for m in self.candidate_masks)
 
 
-def _ordered_candidates(cands: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """Distinct sets ordered by (g, lex), given each set's scaled value
-    g = (n + 1) f + |S|.  As 0 <= |S| <= n, that is (f, |S|, lex) order."""
-    return cands[np.lexsort((-reversed_bits_array(cands, n), g))]
+def _candidate_order(cands: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """The order of distinct sets by (g, lex), given each set's scaled
+    value g = (n + 1) f + |S| or g less a constant.  As 0 <= |S| <= n,
+    that is (f, |S|, lex) order."""
+    return np.lexsort((-reversed_bits_array(cands, n), g))
 
 
 def enum_solve(
@@ -347,68 +375,45 @@ def enum_solve(
         raise InputError("oracle and ring family use different ground sets")
     if constraint is not None and not isinstance(constraint, Constraint):
         raise InputError(f"unknown constraint {constraint!r}")
+    return _solve(oracle, ring, constraint, depth, False)
+
+
+def _solve(
+    oracle: SubmodularOracle,
+    ring: RingFamily,
+    constraint: Constraint | None,
+    depth: int | None,
+    proper: bool,
+) -> EnumSolution:
+    """One run: the candidates of ``_route`` and the first of them, in
+    (value, cardinality, lex) order, that meets the constraint.  ``depth``
+    defaults to the constraint's certified depth (0 without one)."""
     if depth is None:
-        if constraint is None:
-            depth = 0
-        else:
-            depth = default_depth(constraint)
-    depth = _checked_depth(depth)
-    rows = _node_table(oracle, ring, depth)
-    pairs = pair_count(ground.n, depth)
-    return _select(ground, rows.setmask, rows.g, constraint, depth, len(rows.g), pairs)
-
-
-def _checked_depth(depth) -> int:
-    """``depth`` as an int; ``InputError`` unless it is an integer >= 0."""
-    try:
-        depth = operator.index(depth)
-    except TypeError:
-        raise InputError(f"depth must be an integer, got {depth!r}") from None
+        depth = 0 if constraint is None else default_depth(constraint)
+    depth = _integer(depth, "depth")
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
-    return depth
-
-
-def _select(
-    ground: GroundSet,
-    setmask: np.ndarray,
-    g: np.ndarray,
-    constraint: Constraint | None,
-    depth: int,
-    sfm_calls: int,
-    pairs: int,
-) -> EnumSolution:
-    """Answer a run from node-table rows, given as their sets and g.
-
-    The candidates are the distinct sets among the rows, in any order; the
-    answer is the first constraint-feasible one in (value, cardinality,
-    lex) order.  The counters are the caller's: ``skipped_empty`` is
-    ``pairs - sfm_calls``.
-    """
-    n = ground.n
-    sets, first = np.unique(setmask, return_index=True)
-    scaled = g[first]
-    ordered = _ordered_candidates(sets, scaled, n).tolist()
+    masks, g, sfm_calls, pairs = _route(oracle, ring, depth, proper)
+    ground = oracle.ground
     if constraint is None:
-        feasible = lambda mask: True  # noqa: E731
         # Unconstrained runs return the lattice minimum itself.
+        at = 0 if masks else None
         guaranteed = True
     else:
-        feasible = lambda mask: constraint.mask_member(mask, ground)  # noqa: E731
+        at = next((i for i, m in enumerate(masks) if constraint.mask_member(m, ground)), None)
         guaranteed = guarantees_exactness(constraint, depth)
-    best_mask = next((m for m in ordered if feasible(m)), None)
-    value = None
-    if best_mask is not None:
-        best_g = int(scaled[np.searchsorted(sets, best_mask)])
-        value = (best_g - best_mask.bit_count()) // (n + 1)
+    best = value = None
+    if at is not None:
+        best = ground.set_of(masks[at])
+        value = (g[at] - masks[at].bit_count()) // (ground.n + 1)
     return EnumSolution(
-        best=None if best_mask is None else ground.set_of(best_mask),
+        best=best,
         value=value,
         depth=depth,
-        candidates=len(ordered),
+        candidates=len(masks),
         sfm_calls=sfm_calls,
         skipped_empty=pairs - sfm_calls,
         guaranteed=guaranteed,
-        candidate_masks=tuple(ordered),
+        candidate_masks=tuple(masks),
         ground=ground,
     )

@@ -17,6 +17,7 @@ from ccsm.constraints import (
     is_prime_power,
     tcut_reduce,
 )
+from ccsm.enumeration import enum_solve
 from ccsm.errors import InputError, UnsupportedSizeError
 from ccsm.families import FAMILY_NAMES, random_oracle, random_ring, random_table
 from ccsm.ground import GroundSet
@@ -83,6 +84,35 @@ def test_residue_validation():
         TCutConstraint(frozenset("a"), 2, -1)
     with pytest.raises(InputError):
         GeneralizedConstraint(2, ())
+
+
+_A = frozenset("a")
+_NUMBER_USES = {
+    "congruency modulus": lambda x: CongruencyConstraint(x, 0),
+    "congruency residue": lambda x: CongruencyConstraint(2, x),
+    "generalized modulus": lambda x: GeneralizedConstraint(x, ((_A, 0),)),
+    "generalized residue": lambda x: GeneralizedConstraint(2, ((_A, x),)),
+    "tcut modulus": lambda x: TCutConstraint(_A, x, 0),
+    "tcut residue": lambda x: TCutConstraint(_A, 2, x),
+    "depth": lambda x: enum_solve(
+        SubmodularOracle(ABCD, Modular({"a": 1})), None, CongruencyConstraint(2, 1), x
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 1.5, 1.9, 2.5, "1"])
+@pytest.mark.parametrize("use", sorted(_NUMBER_USES))
+def test_moduli_residues_and_depths_must_be_integers(use, value):
+    """Bools, floats and strings are refused, not cast: ``True`` would run
+    as modulus 1 or depth 1, and ``int(1.9)`` would read residue 1."""
+    with pytest.raises(InputError, match="must be an integer"):
+        _NUMBER_USES[use](value)
+
+
+def test_numpy_integer_moduli_and_residues_are_accepted():
+    c = GeneralizedConstraint(np.int64(3), ((_A, np.int64(2)),))
+    assert c.terms == ((_A, 2),) and type(c.terms[0][1]) is int
+    assert CongruencyConstraint(np.int32(2), np.int8(1)).member(("a",))
 
 
 def test_generalized_membership_frozen_example():

@@ -17,7 +17,6 @@ from ccsm.constraints import (
 )
 from ccsm.cuts import CutProblem, solve_cut
 from ccsm.enumeration import (
-    _node_table,
     _pinned_minimizers,
     _scaled_cells,
     candidate_pairs,
@@ -133,11 +132,19 @@ def _full_depth_cases():
 NODE_TABLE_CASES = {"bounded_depth": _bounded_depth_cases, "full_depth": _full_depth_cases}
 
 
-def _rows_by_sizes(table):
-    """The node table's rows as sorted (|A|, |B|, set, g) tuples, so two
-    tables compare per pair size whatever their row order."""
-    columns = (table.asize, table.bsize, table.setmask, table.g)
-    return sorted(zip(*(c.tolist() for c in columns)))
+def _rows_by_sizes(rows, base):
+    """The node table's rows as sorted (|A|, |B|, set, g) tuples, g = cell
+    + ``base``, so two tables compare per pair size whatever their row
+    order."""
+    columns = (rows.asize, rows.bsize, rows.setmask, rows.value)
+    return sorted((a, b, s, cell + base) for a, b, s, cell in zip(*(c.tolist() for c in columns)))
+
+
+def _node_table(oracle, ring, d):
+    """The node table of ``oracle`` on ``ring`` up to depth ``d``, as
+    ``_rows_by_sizes`` gives it."""
+    cells, base = _scaled_cells(oracle, ring)
+    return _rows_by_sizes(_pinned_minimizers(cells, oracle.ground.n, d), base)
 
 
 @pytest.mark.parametrize("cases", sorted(NODE_TABLE_CASES))
@@ -167,13 +174,11 @@ def test_node_table_matches_brute_force(cases):
             assert len(minimal) == 1
             got = minimal[0]
             want.append((len(a), len(b), g.mask_of(got), (g.n + 1) * best + len(got)))
-        table = _node_table(oracle, ring, d)
-        assert _rows_by_sizes(table) == sorted(want)
+        assert _node_table(oracle, ring, d) == sorted(want)
 
 
 # (cell width, base): tables of unsigned cells in each cell width, with
-# rows' g = cell + base in int64.  At uint64 a member cell at top - 1 only
-# fits int64 with base = -2**63.
+# rows' g = cell + base.
 CELL_TABLES = (
     (np.uint16, 0),
     (np.uint16, -1_000),
@@ -251,7 +256,7 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     for n, cells, base in _any_tables(rng):
         d = int(rng.integers(0, n + 2))
         want = _interval_rows(cells, base, n, d)
-        assert _rows_by_sizes(_pinned_minimizers(cells.copy(), base, n, d)) == want
+        assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d), base) == want
 
 
 @pytest.mark.parametrize("width", [np.uint16, np.uint32], ids=["uint16", "uint32"])
@@ -270,7 +275,7 @@ def test_pinned_entries_attain_the_interval_minimum_on_large_tables(width):
         cells[rng.random(1 << n) < 0.3] = top
         for d in depths:
             want = _interval_rows(cells, -7, n, d)
-            assert _rows_by_sizes(_pinned_minimizers(cells.copy(), -7, n, d)) == want
+            assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d), -7) == want
 
 
 def test_a_solve_leaves_no_garbage_cycle():
@@ -611,7 +616,7 @@ def test_cell_width_is_the_first_whose_top_exceeds_the_scaled_range(kind, n, wei
         )
         assert len(scan) == 1 or scan[0][0] < scan[1][0]
         want.append((len(a), len(b), scan[0][1], scan[0][0]))
-    assert _rows_by_sizes(_node_table(oracle, ring, n)) == sorted(want)
+    assert _node_table(oracle, ring, n) == sorted(want)
 
 
 def test_cell_width_follows_the_spec_bounds_where_the_ring_narrows_the_members():

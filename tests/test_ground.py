@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ccsm.enumeration import _ordered_candidates
+from ccsm.enumeration import _candidate_order
 from ccsm.errors import InputError
 from ccsm.ground import (
     GroundSet,
@@ -74,10 +74,10 @@ def test_card_lex_order_prefers_small_then_early_bits():
     # {a} before {b} before {a, b} under (cardinality, label order).
     # With f = 0 the scaled value g = (n + 1) f + |S| is the cardinality.
     arr = np.array([0b11, 0b10, 0b01])
-    order = _ordered_candidates(arr, popcount_array(arr), 2)
+    order = arr[_candidate_order(arr, popcount_array(arr), 2)]
     assert order.tolist() == [0b01, 0b10, 0b11]
     arr = np.array([0b110, 0b011])
-    order = _ordered_candidates(arr, popcount_array(arr), 3)
+    order = arr[_candidate_order(arr, popcount_array(arr), 3)]
     assert order.tolist() == [0b011, 0b110]
 
 
@@ -91,7 +91,7 @@ def test_card_lex_order_matches_sorted_label_sets(n, data):
     arr = np.array(data.draw(st.permutations(sorted(set(masks)))), dtype=np.int64)
     f = {int(m): data.draw(st.integers(min_value=-3, max_value=3)) for m in arr}
     g = np.array([(n + 1) * f[int(m)] + popcount(int(m)) for m in arr], dtype=np.int64)
-    order = _ordered_candidates(arr, g, n)
+    order = arr[_candidate_order(arr, g, n)]
     got = [int(m) for m in order]
     want = sorted(f, key=lambda m: (f[m], popcount(m), tuple(iter_bits(m))))
     assert got == want

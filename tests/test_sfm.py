@@ -1,14 +1,15 @@
 """Submodular minimization over ring families, as the solver does it.
 
-Every test reads the (empty, empty) pair of the node table, which is the
-inclusion-minimal minimizer of f over the whole ring family.
+Every test reads the table route's one candidate at depth 0, that of the
+(empty, empty) pair, which is the inclusion-minimal minimizer of f over
+the whole ring family.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ccsm.enumeration import _node_table
+from ccsm.enumeration import _table_route
 from ccsm.families import random_oracle, random_ring
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
@@ -22,10 +23,10 @@ CYCLE4 = tuple((u, v, 1) for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", 
 
 def _minimal_min(oracle, ring):
     """(minimizer, value), or None where the ring is empty."""
-    table = _node_table(oracle, ring, 0)
-    if len(table.setmask) == 0:
+    masks = _table_route(oracle, ring, 0, False).masks
+    if not masks:
         return None
-    best = oracle.ground.set_of(int(table.setmask[0]))
+    best = oracle.ground.set_of(masks[0])
     return best, oracle.eval(best)
 
 
