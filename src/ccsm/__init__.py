@@ -21,7 +21,7 @@ from .constraints import (
     tcut_reduce,
 )
 from .cuts import CutMode, CutProblem, TSetEven, TSetOdd, load_graph, solve_cut
-from .enumeration import EnumSolution, candidate_pairs, enum_solve, pair_count
+from .enumeration import EnumSolution, enum_solve, pair_count
 from .errors import (
     CcsmError,
     InputError,
@@ -126,7 +126,6 @@ __all__ = [
     "apply_transform",
     "atoms",
     "binom_mod_check",
-    "candidate_pairs",
     "check_md_system",
     "check_mkd_system",
     "check_submodular",

@@ -39,9 +39,9 @@ def is_prime_power(m: int) -> tuple[int, int] | None:
     return None
 
 
-def _check_residue(modulus: int, residue: int, what: str) -> int:
-    """``residue`` as a Python int; ``InputError`` unless ``modulus`` and
-    ``residue`` are integers (as ``oracles._integer`` reads them) with
+def _check_residue(modulus: int, residue: int, what: str) -> tuple[int, int]:
+    """``modulus`` and ``residue`` as Python ints; ``InputError`` unless
+    both are integers (as ``oracles._integer`` reads them) with
     0 <= residue < modulus."""
     modulus = _integer(modulus, f"{what} modulus")
     residue = _integer(residue, f"{what} residue")
@@ -49,7 +49,7 @@ def _check_residue(modulus: int, residue: int, what: str) -> int:
         raise InputError(f"{what} modulus must be >= 1, got {modulus}")
     if not 0 <= residue < modulus:
         raise InputError(f"{what} residue must lie in [0, {modulus}), got {residue}")
-    return residue
+    return modulus, residue
 
 
 class _Congruences:
@@ -75,7 +75,9 @@ class CongruencyConstraint(_Congruences):
     residue: int
 
     def __post_init__(self):
-        _check_residue(self.modulus, self.residue, "congruency")
+        modulus, residue = _check_residue(self.modulus, self.residue, "congruency")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residue", residue)
 
     def member(self, subset: Iterable[str]) -> bool:
         return len(frozenset(subset)) % self.modulus == self.residue
@@ -98,10 +100,12 @@ class GeneralizedConstraint(_Congruences):
     def __post_init__(self):
         if not self.terms:
             raise InputError("generalized constraint needs at least one term")
-        norm = tuple(
-            (frozenset(s), _check_residue(self.modulus, r, "generalized")) for s, r in self.terms
-        )
-        object.__setattr__(self, "terms", norm)
+        terms = []
+        for s, r in self.terms:
+            modulus, r = _check_residue(self.modulus, r, "generalized")
+            terms.append((frozenset(s), r))
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def k(self) -> int:
@@ -129,7 +133,9 @@ class TCutConstraint(_Congruences):
     residue: int
 
     def __post_init__(self):
-        _check_residue(self.modulus, self.residue, "tcut")
+        modulus, residue = _check_residue(self.modulus, self.residue, "tcut")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residue", residue)
         object.__setattr__(self, "terminals", frozenset(self.terminals))
 
     def member(self, subset: Iterable[str]) -> bool:
@@ -218,7 +224,7 @@ def tcut_reduce(
     That tiling needs n' within the exhaustive cap.
     """
     ground = ring.ground
-    _check_residue(modulus, residue, "tcut")
+    modulus, residue = _check_residue(modulus, residue, "tcut")
     t_mask = ground.mask_of(terminals)
     n = ground.n
     clones: list[str] = []

@@ -93,7 +93,9 @@ def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
     pinned runs (u inside, v outside), which the enumeration's route
     answers from one pair table at depth + 1; it also sums the runs'
     counters, so ``sfm_calls`` and ``skipped_empty`` add up to
-    ``n * (n - 1) * pair_count(n, depth)``.  Otherwise the counters are
+    ``n * (n - 1) * pair_count(n, depth)``, though a run has only the
+    ``pair_count(n - 2, depth)`` pairs of the other vertices: the excess
+    counts as empty (README, ``--proper``).  Otherwise the counters are
     those of one ``enum_solve`` run, which sum to ``pair_count(n, depth)``.
     """
     ground = GroundSet(problem.vertices)

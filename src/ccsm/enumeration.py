@@ -53,21 +53,21 @@ as views of its halves.  The traced peak of a whole ``enum_solve`` on
 a cut, cells included, is 6.0-6.1 bytes a cell at d = 1 (n = 16 ... 24)
 and 9.7-10.6 at d = 2 (n = 20, 17).  The README gives timings.
 
-Each non-empty pair gets a row: its minimizer, the minimizer's cell, |A|
-and |B|, in no order a reader relies on.  A route, ``_route(oracle,
-ring, depth, proper)``, hands over the distinct minimizers as Python
-ints in (g, lex) order, which as 0 <= |S| <= n < n + 1 is (f, |S|, lex)
-order, with their g and the pair counters (``_Candidates``).  ``_solve``
-reads nothing else, so no int64 and no size cap reaches it.
+Each non-empty pair gets a row: its minimizer, |A| and |B|, in no order
+a reader relies on; the minimizer's g is base plus its own cell.  A
+route, ``_route(oracle, ring, depth, proper)``, hands over the distinct
+minimizers as Python ints in (g, lex) order, which as 0 <= |S| <= n <
+n + 1 is (f, |S|, lex) order, with their g and the pair counters
+(``_Candidates``).  ``_solve`` reads nothing else, so no int64 and no
+size cap reaches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,19 +92,6 @@ def pair_count(n: int, d: int) -> int:
     return total
 
 
-def candidate_pairs(n: int, d: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All disjoint index pairs (A, B) up to size d, in (size, lex) order of
-    A and then of B."""
-    if n < 0 or d < 0:
-        raise InputError("candidate_pairs needs n >= 0 and d >= 0")
-    for i in range(min(n, d) + 1):
-        for a in combinations(range(n), i):
-            rest = [e for e in range(n) if e not in a]
-            for j in range(min(n - i, d) + 1):
-                for b in combinations(rest, j):
-                    yield a, b
-
-
 def _scaled_cells(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarray, int]:
     """The level-0 cells and base of the module docstring: the oracle
     writes them in the cell width, picked from its spec's bounds
@@ -123,8 +110,9 @@ def _pinned_minimizers(cells: np.ndarray, n: int, d: int) -> _Rows:
     """The node table of the pairs up to depth ``d``: per pair whose
     interval [A, N - B] holds a member (a cell below ``top``, the maximum
     of the cells' unsigned dtype), one row with the argmin of ``cells``
-    there that is greatest in bit-reversed order (an int64 mask), its
-    cell, |A| and |B|.  ``cells`` is left as it is.
+    there that is greatest in bit-reversed order (an int64 mask), |A|
+    and |B|; the interval's least cell is the one at that mask.
+    ``cells`` is left as it is.
 
     The steps of the module docstring write the sum over t >= 1 of
     N_d(t) 2**(n - t) cells, and a level that would pass
@@ -143,12 +131,10 @@ def _pinned_minimizers(cells: np.ndarray, n: int, d: int) -> _Rows:
 
 
 class _Rows(NamedTuple):
-    """Non-empty leaves during the backtrack: the bits set so far, the
-    leaf's cell, |A|, |B|, and the node of the current level each leaf
-    descends from."""
+    """Non-empty leaves during the backtrack: the bits set so far, |A|,
+    |B|, and the node of the current level each leaf descends from."""
 
     setmask: np.ndarray
-    value: np.ndarray
     asize: np.ndarray
     bsize: np.ndarray
     node: np.ndarray
@@ -188,7 +174,7 @@ def _descend(
         tab = kids
     node = np.flatnonzero(tab[:, 0] != np.iinfo(tab.dtype).max)
     setmask = np.zeros(len(node), dtype=np.int64)
-    return steps, _Rows(setmask, tab[node, 0], asize[node], bsize[node], node), len(tab)
+    return steps, _Rows(setmask, asize[node], bsize[node], node), len(tab)
 
 
 def _climb(descent: tuple[list, _Rows, int]) -> tuple[_Rows, int]:
@@ -209,7 +195,9 @@ def _split(
     """``_descend`` and ``_climb`` on nodes whose children would take
     ``size`` > ``cap`` cells.  Several nodes go on in ceil(size / cap)
     pieces, one after another.  A lone node passes its B- and A-children
-    on as views of its halves, so only its free child is new."""
+    on as views of its halves, so only its free child is new.  Only the
+    root can be a lone node whose children pass the cap: a node at level
+    t >= 1 has children of at most 0.75 x 2**n cells."""
     k, width = tab.shape
     half = width >> 1
     if k > 1:
@@ -241,7 +229,7 @@ def _decisions(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
 def _join(parts: list[tuple[_Rows, int]], offsets) -> tuple[_Rows, int]:
     """The rows of ``_climb`` runs on consecutive node lists, each
     run's nodes counted from its offset, and their number of leaves."""
-    columns = [np.concatenate(c) for c in zip(*(rows[:4] for rows, _ in parts))]
+    columns = [np.concatenate(c) for c in zip(*(rows[:3] for rows, _ in parts))]
     node = np.concatenate([rows.node + at for (rows, _), at in zip(parts, offsets)])
     return _Rows(*columns, node), sum(leaves for _, leaves in parts)
 
@@ -294,18 +282,19 @@ def _table_route(
     require_exhaustible(n, "pair-enumeration solving")
     cells, base = _scaled_cells(oracle, ring)
     rows = _pinned_minimizers(cells, n, depth + proper)
-    setmask, value = rows.setmask, rows.value
+    setmask = rows.setmask
     sfm_calls, pairs = len(setmask), pair_count(n, depth)
     if proper:
         runs = np.multiply(rows.asize, rows.bsize, dtype=np.int64)
-        keep = runs != 0
-        setmask, value = setmask[keep], value[keep]
+        setmask = setmask[runs != 0]
         sfm_calls, pairs = int(runs.sum()), n * (n - 1) * pairs
-    sets, first = np.unique(setmask, return_index=True)
-    value = value[first]
-    order = _candidate_order(sets, value, n)
-    g = [cell + base for cell in value[order].tolist()]
-    return _Candidates(sets[order].tolist(), g, sfm_calls, pairs)
+    # Sort and diff: the first plain np.unique call imports numpy.ma, which
+    # leaves objects for the cyclic GC.
+    sets = np.sort(setmask)
+    sets = sets[np.diff(sets, prepend=-1) != 0]
+    sets = sets[_candidate_order(sets, cells[sets], n)]
+    g = [cell + base for cell in cells[sets].tolist()]
+    return _Candidates(sets.tolist(), g, sfm_calls, pairs)
 
 
 # The route ``_solve`` calls; a test may put another in its place.

@@ -228,9 +228,10 @@ class SubmodularOracle:
     def _set_range_bound(self, bound: int) -> None:
         """Record ``bound >= max |f|``, computed on Python ints.
 
-        The solver's scaled objective ``(n + 1) * f + |S|`` goes back to
-        int64 in the node table's rows; inputs whose scaled values could
-        reach ``_SENTINEL`` are refused rather than left to wrap around.
+        The node table's cells hold ``(n + 1) * (f - lo) + |S|`` in at
+        most 64 unsigned bits, and the value table holds f in int64;
+        inputs whose scaled values could reach ``_SENTINEL`` are refused
+        rather than left to wrap around.
         """
         n = self.ground.n
         if (n + 2) * bound > _SENTINEL:

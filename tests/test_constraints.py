@@ -115,6 +115,26 @@ def test_numpy_integer_moduli_and_residues_are_accepted():
     assert CongruencyConstraint(np.int32(2), np.int8(1)).member(("a",))
 
 
+NUMPY_KINDS = {
+    "congruency": lambda: CongruencyConstraint(np.int64(2), np.int64(1)),
+    "generalized": lambda: GeneralizedConstraint(np.int64(3), ((_A, np.int64(2)),)),
+    "tcut": lambda: TCutConstraint(frozenset({"a", "c"}), np.int64(2), np.int64(1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NUMPY_KINDS))
+def test_numpy_integer_constraints_store_ints_and_round_trip_through_json(kind):
+    """A constraint built from numpy integers stores Python ints, so an
+    instance carrying it has a file form that ``json`` writes and that
+    loads back to an equal constraint."""
+    constraint = NUMPY_KINDS[kind]()
+    residues = [r for _, r in constraint.terms] if kind == "generalized" else [constraint.residue]
+    assert all(type(v) is int for v in (constraint.modulus, *residues))
+    instance = Instance(SubmodularOracle(ABCD, Modular({})), RingFamily.full(ABCD), constraint)
+    text = json.dumps(instance_to_dict(instance))
+    assert instance_from_dict(json.loads(text)).constraint == constraint
+
+
 def test_generalized_membership_frozen_example():
     c = GeneralizedConstraint(
         2, ((frozenset({"a", "b"}), 1), (frozenset({"c", "d"}), 1))

@@ -19,7 +19,6 @@ from ccsm.cuts import CutProblem, solve_cut
 from ccsm.enumeration import (
     _pinned_minimizers,
     _scaled_cells,
-    candidate_pairs,
     enum_solve,
     pair_count,
 )
@@ -68,32 +67,6 @@ def test_pair_count_saturates_at_three_to_the_n():
         assert pair_count(n, n + 5) == 3**n
 
 
-def test_candidate_pairs_frozen_order():
-    got = list(candidate_pairs(2, 1))
-    assert got == [
-        ((), ()),
-        ((), (0,)),
-        ((), (1,)),
-        ((0,), ()),
-        ((0,), (1,)),
-        ((1,), ()),
-        ((1,), (0,)),
-    ]
-
-
-def test_candidate_pairs_are_disjoint_and_complete():
-    for n in range(0, 6):
-        for d in range(0, 4):
-            pairs = list(candidate_pairs(n, d))
-            assert len(pairs) == pair_count(n, d)
-            seen = set()
-            for a, b in pairs:
-                assert len(a) <= d and len(b) <= d
-                assert not set(a) & set(b)
-                seen.add((a, b))
-            assert len(seen) == len(pairs)
-
-
 def _bounded_depth_cases():
     """Hand-made and random cases at depths 1-3."""
     abc = GroundSet(("a", "b", "c"))
@@ -132,11 +105,11 @@ def _full_depth_cases():
 NODE_TABLE_CASES = {"bounded_depth": _bounded_depth_cases, "full_depth": _full_depth_cases}
 
 
-def _rows_by_sizes(rows, base):
-    """The node table's rows as sorted (|A|, |B|, set, g) tuples, g = cell
-    + ``base``, so two tables compare per pair size whatever their row
-    order."""
-    columns = (rows.asize, rows.bsize, rows.setmask, rows.value)
+def _rows_by_sizes(rows, cells, base):
+    """The node table's rows as sorted (|A|, |B|, set, g) tuples, g = the
+    set's cell in ``cells`` + ``base``, so two tables compare per pair size
+    whatever their row order."""
+    columns = (rows.asize, rows.bsize, rows.setmask, cells[rows.setmask])
     return sorted((a, b, s, cell + base) for a, b, s, cell in zip(*(c.tolist() for c in columns)))
 
 
@@ -144,7 +117,7 @@ def _node_table(oracle, ring, d):
     """The node table of ``oracle`` on ``ring`` up to depth ``d``, as
     ``_rows_by_sizes`` gives it."""
     cells, base = _scaled_cells(oracle, ring)
-    return _rows_by_sizes(_pinned_minimizers(cells, oracle.ground.n, d), base)
+    return _rows_by_sizes(_pinned_minimizers(cells, oracle.ground.n, d), cells, base)
 
 
 @pytest.mark.parametrize("cases", sorted(NODE_TABLE_CASES))
@@ -160,7 +133,7 @@ def test_node_table_matches_brute_force(cases):
         arcs = [(labels[u], labels[v]) for u, v in ring.implications]
         value = {s: oracle.eval(s) for s in powerset(labels)}
         want = []
-        for a, b in candidate_pairs(g.n, d):
+        for a, b in naive_pairs(range(g.n), d):
             a_labels = [labels[i] for i in a]
             b_labels = [labels[i] for i in b]
             best, optima = brute_constrained_min(
@@ -213,7 +186,7 @@ def _interval_rows(cells, base, n, d, batch=1 << 21):
     argmin is the one greatest in bit-reversed order.  The cells of each
     interval are gathered by index, ``batch`` cells at a time."""
     top = np.iinfo(cells.dtype).max
-    pairs = list(candidate_pairs(n, d))
+    pairs = naive_pairs(range(n), d)
     want = []
     # Pairs with equal |A| + |B| = u have intervals of 2**(n - u) cells.
     # Column k of an interval is A plus the free bits picked by k's bits,
@@ -256,7 +229,7 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     for n, cells, base in _any_tables(rng):
         d = int(rng.integers(0, n + 2))
         want = _interval_rows(cells, base, n, d)
-        assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d), base) == want
+        assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d), cells, base) == want
 
 
 @pytest.mark.parametrize("width", [np.uint16, np.uint32], ids=["uint16", "uint32"])
@@ -275,13 +248,17 @@ def test_pinned_entries_attain_the_interval_minimum_on_large_tables(width):
         cells[rng.random(1 << n) < 0.3] = top
         for d in depths:
             want = _interval_rows(cells, -7, n, d)
-            assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d), -7) == want
+            assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d), cells, -7) == want
 
 
 def test_a_solve_leaves_no_garbage_cycle():
     """Solves free their tables by reference counting: a reference cycle
-    would keep each solve's 2**n buffers alive until the cyclic GC ran."""
-    instance = random_instance(np.random.default_rng(48), "cut", 8, 3)
+    would keep each solve's 2**n buffers alive until the cyclic GC ran.
+    Levels split at n = 16: at m = 2 the root passes its children on as
+    views, at m = 3 node lists also go on in pieces."""
+    rng = np.random.default_rng(48)
+    instances = [random_instance(rng, "cut", n, m) for n, m in ((8, 3), (16, 2), (16, 3))]
+    instance = instances[0]
     problem = CutProblem(
         instance.oracle.ground.elements,
         instance.oracle.spec.edges,
@@ -292,7 +269,8 @@ def test_a_solve_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
     try:
-        enum_solve(instance.oracle, instance.ring, instance.constraint)
+        for each in instances:
+            enum_solve(each.oracle, each.ring, each.constraint)
         solve_cut(problem)
         assert gc.collect() == 0
     finally:
@@ -607,7 +585,7 @@ def test_cell_width_is_the_first_whose_top_exceeds_the_scaled_range(kind, n, wei
     ring = RingFamily.full(ground)
     assert _scaled_cells(oracle, ring)[0].dtype == width
     want = []
-    for a, b in candidate_pairs(n, n):
+    for a, b in naive_pairs(range(n), n):
         inside, outside = sum(1 << i for i in a), sum(1 << i for i in b)
         scan = sorted(
             ((n + 1) * oracle.eval_mask(s) + s.bit_count(), s)
@@ -691,6 +669,22 @@ def test_node_table_builds_no_int64_table_of_g():
         tracemalloc.stop()
     assert sol.depth == 1
     assert peak < 8 << n
+
+
+def test_the_cap_bounds_a_depth_two_solves_memory():
+    """``enum_solve`` on a fresh cut oracle at n = 17, d = 2 peaks below
+    16 bytes a cell: levels that would pass the cap of 2**n cells go on
+    in pieces.  Built whole, its levels take the solve to about 23."""
+    n = 17
+    instance = random_instance(np.random.default_rng(50), "cut", n, 3)
+    tracemalloc.start()
+    try:
+        sol = enum_solve(instance.oracle, instance.ring, instance.constraint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.depth == 2
+    assert peak < 16 << n
 
 
 def test_enum_matches_exhaustive_on_generalized_instances():
