@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import InputError
-from .ground import GroundSet, popcount
+from .ground import GroundSet, label_set, popcount
 from .lattice import RingFamily
 from .limits import require_exhaustible
 from .oracles import ExplicitTable, SubmodularOracle, _integer
@@ -103,7 +103,7 @@ class GeneralizedConstraint(_Congruences):
         terms = []
         for s, r in self.terms:
             modulus, r = _check_residue(self.modulus, r, "generalized")
-            terms.append((frozenset(s), r))
+            terms.append((label_set(s, "a generalized term's set"), r))
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "terms", tuple(terms))
 
@@ -136,7 +136,7 @@ class TCutConstraint(_Congruences):
         modulus, residue = _check_residue(self.modulus, self.residue, "tcut")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
+        object.__setattr__(self, "terminals", label_set(self.terminals, "tcut terminals"))
 
     def member(self, subset: Iterable[str]) -> bool:
         return len(frozenset(subset) & self.terminals) % self.modulus == self.residue
@@ -225,7 +225,7 @@ def tcut_reduce(
     """
     ground = ring.ground
     modulus, residue = _check_residue(modulus, residue, "tcut")
-    t_mask = ground.mask_of(terminals)
+    t_mask = ground.mask_of(label_set(terminals, "tcut terminals"))
     n = ground.n
     clones: list[str] = []
     clone_arcs: list[tuple[int, int]] = []

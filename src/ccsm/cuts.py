@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .constraints import CongruencyConstraint, GeneralizedConstraint
 from .enumeration import EnumSolution, _solve
 from .errors import InputError
-from .ground import GroundSet
+from .ground import GroundSet, label_set
 from .instances import json_edges
 from .lattice import RingFamily
 from .oracles import CutDirected, CutUndirected, SubmodularOracle
@@ -75,14 +75,12 @@ def load_graph(payload: dict) -> tuple[tuple[str, ...], tuple[tuple[str, str, in
 def _mode_constraint(mode: CutMode):
     if isinstance(mode, CongruencyConstraint):
         return mode
-    if isinstance(mode, TSetEven):
+    if isinstance(mode, (TSetEven, TSetOdd)):
+        odd = int(isinstance(mode, TSetOdd))
         if not mode.tsets:
-            raise InputError("tset_even mode needs at least one terminal set")
-        return GeneralizedConstraint(2, tuple((frozenset(t), 0) for t in mode.tsets))
-    if isinstance(mode, TSetOdd):
-        if not mode.tsets:
-            raise InputError("tset_odd mode needs at least one terminal set")
-        return GeneralizedConstraint(2, tuple((frozenset(t), 1) for t in mode.tsets))
+            raise InputError(f"tset_{('even', 'odd')[odd]} mode needs at least one terminal set")
+        terms = tuple((label_set(t, "a terminal set"), odd) for t in mode.tsets)
+        return GeneralizedConstraint(2, terms)
     raise InputError(f"unknown cut mode {mode!r}")
 
 

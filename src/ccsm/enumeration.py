@@ -16,13 +16,14 @@ in ``_pinned_minimizers``:
 - cells: ``_scaled_cells`` has the oracle write g - base, base =
   (n + 1) lo, straight from its spec (no table of f or g exists), in
   the first of uint16 / uint32 / uint64 whose top value exceeds
-  (n + 1)(hi - lo) + n, where lo <= f <= hi are the spec's own bounds;
-  the ring then writes the top value at its non-members.  The cells are
+  (n + 1)(hi - lo) + n, where lo <= f <= hi are the spec's own bounds,
+  and an input no width holds is refused with ``InputError``; the ring
+  then writes the top value at its non-members.  The cells are
   computed mod 2**bits, and every true cell value lies in
   [0, (n + 1)(hi - lo) + n], below the top, so each residue is the
   value itself.  A constant shift, with the holes above every member,
-  keeps every ``<=`` made below, so each row is the one int64 cells
-  would give;
+  keeps every ``<=`` made below, so each row is the one cells of
+  unbounded integers would give;
 - nodes: after t steps a node is a table of 2**(n - t) cells with the
   |A| and |B| it has taken: cell c holds the least cell over the sets
   that end in c and, on the top t bits, hold its A bits, avoid its B
@@ -95,11 +96,18 @@ def pair_count(n: int, d: int) -> int:
 def _scaled_cells(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarray, int]:
     """The level-0 cells and base of the module docstring: the oracle
     writes them in the cell width, picked from its spec's bounds
-    lo <= f <= hi, and the ring writes the top value at its non-members."""
+    lo <= f <= hi, and the ring writes the top value at its non-members.
+    ``InputError`` when even the 64-bit cells' top does not exceed the
+    scaled range (n + 1)(hi - lo) + n."""
     n = oracle.ground.n
     lo, hi = oracle.bounds
     span = (n + 1) * (hi - lo) + n
-    width = next(t for t in (np.uint16, np.uint32, np.uint64) if np.iinfo(t).max > span)
+    width = next((t for t in (np.uint16, np.uint32, np.uint64) if np.iinfo(t).max > span), None)
+    if width is None:
+        raise InputError(
+            f"function values in [{lo}, {hi}] on {n} elements do not fit the solver's "
+            f"64-bit cells: the scaled range (n + 1)(hi - lo) + n = {span} reaches 2**64 - 1"
+        )
     base = (n + 1) * lo
     cells = oracle.cells(width, scale=n + 1, sizes=True, shift=base)
     ring.mark_non_members(cells, np.iinfo(width).max)

@@ -33,6 +33,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def label_set(labels: Iterable[str], what: str) -> frozenset[str]:
+    """``labels`` as a frozenset, or ``InputError`` for a ``str``, which
+    would be split into its letters: ``"ab"`` would read as a and b."""
+    if isinstance(labels, str):
+        raise InputError(f"{what} must be a collection of labels, got the string {labels!r}")
+    return frozenset(labels)
+
+
 def reversed_bits_array(masks: np.ndarray, n: int) -> np.ndarray:
     """Bit-reverse each mask within an ``n``-bit window.
 

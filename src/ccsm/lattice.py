@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InputError
 from .ground import GroundSet, iter_bits, popcount_array, reversed_bits_array
 from .limits import require_exhaustible
+from .oracles import _integer
 
 
 class RingFamily:
@@ -32,6 +33,8 @@ class RingFamily:
         implications: Iterable[tuple[int, int]] = (),
     ):
         full = ground.full_mask
+        forced_in = _integer(forced_in, "a forced-in mask")
+        forced_out = _integer(forced_out, "a forced-out mask")
         if forced_in < 0 or forced_in > full or forced_out < 0 or forced_out > full:
             raise InputError("forced masks out of range for the ground set")
         if forced_in & forced_out:
@@ -40,10 +43,11 @@ class RingFamily:
         arcs = set()
         n = ground.n
         for u, v in implications:
+            u, v = _integer(u, "an implication endpoint"), _integer(v, "an implication endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"implication ({u}, {v}) out of range for n={n}")
             if u != v:
-                arcs.add((int(u), int(v)))
+                arcs.add((u, v))
         self.ground = ground
         self.forced_in = forced_in
         self.forced_out = forced_out

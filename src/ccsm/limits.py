@@ -1,7 +1,9 @@
 """Size caps for exhaustive computations.
 
 Everything in this package that enumerates subsets works on dense tables of
-size 2**n, so the cap below bounds memory and time.
+size 2**n, so the cap below bounds memory and time.  Function values have
+no cap here: each fixed-width table refuses the values its own width
+cannot hold (``SubmodularOracle.value_table``, ``enumeration._scaled_cells``).
 """
 
 from __future__ import annotations
@@ -10,11 +12,6 @@ from .errors import UnsupportedSizeError
 
 # Hard ceiling for any 2**n table.  16M int64 entries = 128 MiB.
 _EXHAUSTIVE_CAP = 24
-
-# int64 max // 4.  Oracles refuse inputs whose scaled values
-# (n + 2) * range_bound could reach it, so every int64 sum the package
-# forms stays exact.
-_SENTINEL = (2**63 - 1) // 4
 
 
 def require_exhaustible(n: int, what: str) -> None:

@@ -2,17 +2,20 @@
 
 A :class:`SubmodularOracle` pairs a ground set with one of the function
 specs below and exposes scalar and full-table evaluation.  Values are
-integers throughout; every oracle also carries ``range_bound``, an upper
-bound on ``max |f|``, and ``bounds``, lo <= f <= hi read off the spec:
-the sums of the negative and of the positive weights, 0 and the total
-edge weight, 0 and the item count, or an explicit table's least and
-greatest entry.  Functions whose scaled values could pass
-``limits._SENTINEL`` are refused with ``InputError``.
+Python integers of any size; every oracle carries ``bounds``,
+lo <= f <= hi read off the spec: the sums of the negative and of the
+positive weights, 0 and the total edge weight, 0 and the item count, or
+an explicit table's least and greatest entry.  Only fixed-width tables
+refuse, with ``InputError``, what their width cannot hold: the int64
+``value_table`` |f| >= 2**62, the solver's cells
+(``enumeration._scaled_cells``) a scaled range past 64 bits, and an
+explicit table, stored in int64, an entry outside int64.
 
 ``Modular``, ``CutUndirected`` and ``CutDirected`` specs compile to one
 pairwise energy f(S) = sum_i a_i x_i + sum_{j<i} b_ij x_i x_j with every
 b_ij <= 0 (a modular spec is the case b = 0), the form a graph
 construction for pinned minimizers reads (Kolmogorov & Zabih 2004).
+``_a`` lists the a_i and row i of ``_b`` the b_ij for j < i.
 
 ``SubmodularOracle.cells`` writes scale * f(S) + |S| - shift mod
 2**bits over all 2**n sets, in any integer dtype, by bit doubling: the
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import InputError
 from .ground import GroundSet, iter_bits
-from .limits import _SENTINEL, require_exhaustible
+from .limits import require_exhaustible
 
 
 @dataclass(frozen=True)
@@ -165,28 +168,23 @@ class SubmodularOracle:
             weights = [0] * n
             for lab, wt in spec.weights.items():
                 weights[ground.index(lab)] = _integer(wt, "a modular weight")
-            self._set_range_bound(sum(abs(w) for w in weights))
             self.bounds = (sum(w for w in weights if w < 0), sum(w for w in weights if w > 0))
-            self._a = np.array(weights, dtype=np.int64)
-            self._b = np.zeros((n, n), dtype=np.int64)
+            self._a = weights
+            self._b = [[0] * i for i in range(n)]
         elif isinstance(spec, (CutUndirected, CutDirected)):
             undirected = isinstance(spec, CutUndirected)
             items = spec.edges if undirected else spec.arcs
-            triples = _check_edge_list(ground, items, type(spec).__name__)
-            self._set_range_bound(sum(t[2] for t in triples))
-            self.bounds = (0, self.range_bound)
-            self._eu = np.array([t[0] for t in triples], dtype=np.int64)
-            self._ev = np.array([t[1] for t in triples], dtype=np.int64)
-            self._ew = np.array([t[2] for t in triples], dtype=np.int64)
+            self._edges = _check_edge_list(ground, items, type(spec).__name__)
+            self.bounds = (0, sum(w for _, _, w in self._edges))
             # An edge uv of weight w adds w to a_u and a_v and -2w to b_uv;
             # an arc u->v adds w to a_u and -w to b_uv.
-            self._a = np.zeros(n, dtype=np.int64)
-            self._b = np.zeros((n, n), dtype=np.int64)
-            np.add.at(self._a, self._eu, self._ew)
-            if undirected:
-                np.add.at(self._a, self._ev, self._ew)
-            hi, lo = np.maximum(self._eu, self._ev), np.minimum(self._eu, self._ev)
-            np.add.at(self._b, (hi, lo), -(1 + undirected) * self._ew)
+            self._a = [0] * n
+            self._b = [[0] * i for i in range(n)]
+            for u, v, w in self._edges:
+                self._a[u] += w
+                if undirected:
+                    self._a[v] += w
+                self._b[max(u, v)][min(u, v)] -= (1 + undirected) * w
         elif isinstance(spec, Coverage):
             for lab, its in spec.covered_sets.items():
                 if isinstance(its, str):
@@ -200,7 +198,6 @@ class SubmodularOracle:
                     covers[i] |= 1 << item_index[it]
             self._covers = covers
             self._n_items = len(items)
-            self._set_range_bound(len(items))
             self.bounds = (0, len(items))
         elif isinstance(spec, ExplicitTable):
             # np.asarray reads (0, True) as int64, so a sequence's bools are
@@ -214,32 +211,15 @@ class SubmodularOracle:
                 raise InputError(
                     f"explicit table needs exactly 2**n = {1 << n} values, got {vals.shape}"
                 )
-            if vals.dtype.kind not in "iu":
+            # Stored in int64, where a uint64 entry of 2**63 or more would wrap.
+            if vals.dtype.kind not in "iu" or int(vals.max()) >= 1 << 63:
                 raise InputError(
                     f"explicit table values must be integers that fit in int64, got {vals.dtype}"
                 )
-            lo, hi = int(vals.min()), int(vals.max())
-            self._set_range_bound(max(hi, -lo))
-            self.bounds = (lo, hi)
+            self.bounds = (int(vals.min()), int(vals.max()))
             self._values = vals.astype(np.int64, copy=False)
         else:
             raise InputError(f"unknown function spec {spec!r}")
-
-    def _set_range_bound(self, bound: int) -> None:
-        """Record ``bound >= max |f|``, computed on Python ints.
-
-        The node table's cells hold ``(n + 1) * (f - lo) + |S|`` in at
-        most 64 unsigned bits, and the value table holds f in int64;
-        inputs whose scaled values could reach ``_SENTINEL`` are refused
-        rather than left to wrap around.
-        """
-        n = self.ground.n
-        if (n + 2) * bound > _SENTINEL:
-            raise InputError(
-                f"function values up to {bound} on {n} elements are too large for exact "
-                f"int64 arithmetic: (n + 2) * {bound} exceeds {_SENTINEL}"
-            )
-        self.range_bound = bound
 
     # -- evaluation -----------------------------------------------------
 
@@ -256,17 +236,9 @@ class SubmodularOracle:
             ground = self.ground
             return sum(int(w) for lab, w in spec.weights.items() if (mask >> ground.index(lab)) & 1)
         if isinstance(spec, CutUndirected):
-            total = 0
-            for u, v, w in zip(self._eu, self._ev, self._ew):
-                if ((mask >> int(u)) & 1) != ((mask >> int(v)) & 1):
-                    total += int(w)
-            return total
+            return sum(w for u, v, w in self._edges if ((mask >> u) ^ (mask >> v)) & 1)
         if isinstance(spec, CutDirected):
-            total = 0
-            for u, v, w in zip(self._eu, self._ev, self._ew):
-                if ((mask >> int(u)) & 1) and not ((mask >> int(v)) & 1):
-                    total += int(w)
-            return total
+            return sum(w for u, v, w in self._edges if (mask >> u) & 1 and not (mask >> v) & 1)
         if isinstance(spec, Coverage):
             covered = 0
             for i in iter_bits(mask):
@@ -277,8 +249,16 @@ class SubmodularOracle:
     def value_table(self) -> np.ndarray:
         """The dense int64 table f over all 2**n subsets (cached): ``cells``
         at scale 1, with no size term and no shift.  The solver does not
-        read it; its node table asks ``cells`` for its own width."""
+        read it; its node table asks ``cells`` for its own width.
+        ``InputError`` unless |f| < 2**62 by the bounds, so that the sum of
+        two entries in ``check_submodular`` is exact."""
         if self._table is None:
+            lo, hi = self.bounds
+            if max(hi, -lo) >= 1 << 62:
+                raise InputError(
+                    f"function values in [{lo}, {hi}] do not fit the int64 value table, "
+                    "which holds |f| < 2**62"
+                )
             self._table = self.cells(np.int64)
         return self._table
 
@@ -303,8 +283,8 @@ class SubmodularOracle:
         dtype = np.dtype(dtype)
         spec, n, size = self.spec, self.ground.n, int(sizes)
         if isinstance(spec, (Modular, CutUndirected, CutDirected)):
-            a = [scale * w + size for w in self._a.tolist()]
-            b = [[scale * w for w in row[:i]] for i, row in enumerate(self._b.tolist())]
+            a = [scale * w + size for w in self._a]
+            b = [[scale * w for w in row] for row in self._b]
             return _energy_cells(a, b, shift, dtype)
         t = _energy_cells([size] * n, [[]] * n, shift, dtype)
         factor = _residues([scale], dtype)[0]

@@ -520,11 +520,46 @@ def test_values_beyond_int64_headroom_exit_two(capsys, tmp_path, weights):
             }
         )
     )
-    for command in ("solve", "oracle"):
+    # The solver's 64-bit cells and the reference's int64 value table each
+    # refuse what their own width cannot hold.
+    lo = sum(w for w in weights.values() if w < 0)
+    hi = sum(w for w in weights.values() if w > 0)
+    messages = {
+        "solve": f"error: function values in [{lo}, {hi}] on 3 elements do not fit the "
+        f"solver's 64-bit cells: the scaled range (n + 1)(hi - lo) + n = {4 * (hi - lo) + 3} "
+        "reaches 2**64 - 1\n",
+        "oracle": f"error: function values in [{lo}, {hi}] do not fit the int64 value table, "
+        "which holds |f| < 2**62\n",
+    }
+    for command, message in messages.items():
         rc, out, err = run(capsys, command, "--instance", str(path))
         assert rc == 2
         assert out is None
-        assert "int64" in err
+        assert err == message
+
+
+def test_solve_answers_past_int64_where_the_oracle_command_refuses(capsys, tmp_path):
+    """f(a) = -2**62 fits the solver's cells but not the int64 value table
+    of the exhaustive reference."""
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ground_set": ["a", "b"],
+                "function": {"type": "modular", "weights": {"a": -(2**62), "b": 1}},
+                "constraint": {"type": "congruency", "modulus": 2, "residue": 1},
+            }
+        )
+    )
+    rc, out, err = run(capsys, "solve", "--instance", str(path))
+    assert rc == 0 and err == ""
+    assert (out["value"], out["set"]) == (-4611686018427387904, ["a"])
+    rc, out, err = run(capsys, "oracle", "--instance", str(path))
+    assert rc == 2 and out is None
+    assert err == (
+        "error: function values in [-4611686018427387904, 1] do not fit the int64 value "
+        "table, which holds |f| < 2**62\n"
+    )
 
 
 def test_inputs_past_the_size_cap_exit_two(capsys, tmp_path):

@@ -17,6 +17,7 @@ from ccsm.constraints import (
     is_prime_power,
     tcut_reduce,
 )
+from ccsm.cuts import CutProblem, TSetEven, TSetOdd, solve_cut
 from ccsm.enumeration import enum_solve
 from ccsm.errors import InputError, UnsupportedSizeError
 from ccsm.families import FAMILY_NAMES, random_oracle, random_ring, random_table
@@ -113,6 +114,28 @@ def test_numpy_integer_moduli_and_residues_are_accepted():
     c = GeneralizedConstraint(np.int64(3), ((_A, np.int64(2)),))
     assert c.terms == ((_A, 2),) and type(c.terms[0][1]) is int
     assert CongruencyConstraint(np.int32(2), np.int8(1)).member(("a",))
+
+
+_AB = GroundSet(("a", "b", "ab"))
+_STRING_LABEL_SETS = {
+    "tcut": lambda: TCutConstraint("ab", 2, 1),
+    "generalized": lambda: GeneralizedConstraint(2, (("ab", 1),)),
+    "tcut_reduce": lambda: tcut_reduce(
+        SubmodularOracle(_AB, Modular({"a": 1})), RingFamily.full(_AB), "ab", 2, 1
+    ),
+    "tset_even": lambda: solve_cut(CutProblem(_AB.elements, (), False, TSetEven(("ab",)))),
+    "tset_odd": lambda: solve_cut(CutProblem(_AB.elements, (), False, TSetOdd(("ab",)))),
+}
+
+
+@pytest.mark.parametrize("use", sorted(_STRING_LABEL_SETS))
+def test_a_string_label_set_is_refused_not_split(use):
+    """On the ground (a, b, ab) the string "ab" would split into the
+    labels a and b; it is refused, and the list ["ab"] names the one
+    element ab."""
+    with pytest.raises(InputError, match="got the string 'ab'"):
+        _STRING_LABEL_SETS[use]()
+    assert TCutConstraint(["ab"], 2, 1).terminals == {"ab"}
 
 
 NUMPY_KINDS = {

@@ -5,7 +5,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from ccsm.families import (
 )
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
-from ccsm.oracles import Coverage, CutUndirected, Modular, SubmodularOracle
+from ccsm.oracles import Coverage, CutDirected, CutUndirected, Modular, SubmodularOracle
 from ccsm.reference import exhaustive_solve
 from helpers import (
     brute_constrained_min,
@@ -551,16 +551,19 @@ def test_a_proper_cut_whose_levels_split_matches_a_dense_scan():
 # that many items for "coverage", so the spec's bounds are 0 and weight
 # and the id names the scaled range (n + 1) * weight + n (modular ids
 # carry no kind).  Coverage stops at the uint16 boundaries: reaching
-# uint64 would take about 2**32 / (n + 1) items.
+# uint64 would take about 2**32 / (n + 1) items.  The 2**64-2 ids have
+# weights past int64 that the 64-bit cells still hold.
 WIDTH_EDGES = {
     "2**16-2": ("modular", 2, 21_844, np.uint16),
     "2**16-1": ("modular", 1, 2**15 - 1, np.uint32),
     "2**32-2": ("modular", 2, 1_431_655_764, np.uint32),
     "2**32-1": ("modular", 1, 2**31 - 1, np.uint64),
+    "2**64-2": ("modular", 2, (2**64 - 4) // 3, np.uint64),
     "cut-2**16-2": ("cut", 2, 21_844, np.uint16),
     "cut-2**16-1": ("cut", 3, 16_383, np.uint32),
     "cut-2**32-2": ("cut", 2, 1_431_655_764, np.uint32),
     "cut-2**32-1": ("cut", 3, 2**30 - 1, np.uint64),
+    "cut-2**64-2": ("cut", 2, (2**64 - 4) // 3, np.uint64),
     "coverage-2**16-2": ("coverage", 2, 21_844, np.uint16),
     "coverage-2**16-1": ("coverage", 3, 16_383, np.uint32),
 }
@@ -595,6 +598,78 @@ def test_cell_width_is_the_first_whose_top_exceeds_the_scaled_range(kind, n, wei
         assert len(scan) == 1 or scan[0][0] < scan[1][0]
         want.append((len(a), len(b), scan[0][1], scan[0][0]))
     assert _node_table(oracle, ring, n) == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (Modular({"x0": 2**63 - 1}), 1),
+        (CutUndirected((("x0", "x1", (2**64 - 4) // 3 + 1),)), 2),
+        (Modular({"x0": -(2**63), "x1": 2**63}), 2),
+    ],
+    ids=["modular-2**64-1", "cut-2**64+1", "modular-past-int64"],
+)
+def test_a_scaled_range_past_the_64_bit_cells_is_refused(spec, n):
+    """A scaled range (n + 1)(hi - lo) + n of 2**64 - 1 or more leaves no
+    cell width whose top exceeds it: the cells, ``enum_solve`` and a
+    proper cut refuse with ``InputError`` (never ``StopIteration``)."""
+    ground = GroundSet(tuple(f"x{i}" for i in range(n)))
+    oracle = SubmodularOracle(ground, spec)
+    ring = RingFamily.full(ground)
+    with pytest.raises(InputError, match="64-bit cells"):
+        _scaled_cells(oracle, ring)
+    with pytest.raises(InputError, match="64-bit cells"):
+        enum_solve(oracle, ring, CongruencyConstraint(2, 1))
+    if isinstance(spec, CutUndirected):
+        problem = CutProblem(ground.elements, spec.edges, False, CongruencyConstraint(2, 1), True)
+        with pytest.raises(InputError, match="64-bit cells"):
+            solve_cut(problem)
+
+
+def test_solves_past_int64_match_a_brute_force_over_eval_mask():
+    """190 seeded modular, cut and directed-cut specs on n = 1 ... 8 with
+    weights of 2**55 ... 2**60, each capped so that the 64-bit cells hold
+    the scaled range, on random rings under |S| = r (mod m), m = 2 ... 5:
+    ``enum_solve`` gives the least ``eval_mask`` over the feasible members
+    and the (cardinality, lex) first set that attains it.  About half of
+    the specs have a scaled range past int64."""
+    rng = np.random.default_rng(97)
+    past_int64 = 0
+    for trial in range(190):
+        n = 1 + trial % 8
+        family = ("modular", "cut", "cut_directed")[trial % 3]
+        labels = tuple(f"x{i}" for i in range(n))
+        ground = GroundSet(labels)
+        if family == "modular":
+            ends = [(x,) for x in labels]
+        else:
+            pairs = (combinations if family == "cut" else permutations)(labels, 2)
+            ends = [pair for pair in pairs if rng.random() < 0.5]
+        top = min(2**60, (2**64 - 2 - n) // ((n + 1) * max(len(ends), 1)))
+        weights = [int(rng.integers(2**55, top, endpoint=True)) for _ in ends]
+        if family == "modular":
+            signs = rng.choice([-1, 1], size=n).tolist()
+            spec = Modular({x: s * w for (x,), s, w in zip(ends, signs, weights)})
+        elif family == "cut":
+            spec = CutUndirected(tuple((u, v, w) for (u, v), w in zip(ends, weights)))
+        else:
+            spec = CutDirected(tuple((u, v, w) for (u, v), w in zip(ends, weights)))
+        oracle = SubmodularOracle(ground, spec)
+        lo, hi = oracle.bounds
+        past_int64 += (n + 1) * (hi - lo) + n > 2**63 - 1
+        ring = random_ring(rng, ground, lattice_prob=0.5)
+        m = int(rng.integers(2, 6))
+        constraint = CongruencyConstraint(m, int(rng.integers(0, m)))
+        best, optima = brute_constrained_min(
+            labels,
+            oracle.eval,
+            lambda s: ring.member(s) and constraint.member(s),
+        )
+        sol = enum_solve(oracle, ring, constraint)
+        assert sol.guaranteed and sol.value == best
+        if best is not None:
+            assert sol.best == min(optima, key=card_lex_key(labels))
+    assert past_int64 >= 90
 
 
 def test_cell_width_follows_the_spec_bounds_where_the_ring_narrows_the_members():

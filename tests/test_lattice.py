@@ -49,6 +49,32 @@ def test_forced_elements_and_arcs_validate():
     # Self-loops are meaningless and silently dropped.
     ring = RingFamily(ABC, implications=[(1, 1), (0, 1)])
     assert ring.implications == ((0, 1),)
+    # Numpy integers are read as the ints they hold.
+    ring = RingFamily(ABC, np.int64(1), np.uint8(4), [(np.int32(0), np.int64(1))])
+    assert (ring.forced_in, ring.forced_out, ring.implications) == (1, 4, ((0, 1),))
+    assert all(type(v) is int for v in (ring.forced_in, ring.forced_out, *ring.implications[0]))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"implications": [(0.5, 0)]},
+        {"implications": [(True, 2)]},
+        {"implications": [(0, 1.0)]},
+        {"implications": [(0, "1")]},
+        {"forced_in": 1.5},
+        {"forced_in": True},
+        {"forced_out": 2.0},
+    ],
+    ids=["arc-tail-half", "arc-tail-bool", "arc-head-float", "arc-head-str", "in-half",
+         "in-bool", "out-float"],
+)
+def test_masks_and_arc_endpoints_must_be_integers(kwargs):
+    """Floats, bools and strings are refused, not truncated: ``(0.5, 0)``
+    would be stored as the loop (0, 0) and ``(True, 2)`` as the arc
+    (1, 2), and ``member_mask`` would then disagree with the dense table."""
+    with pytest.raises(InputError, match="must be an integer"):
+        RingFamily(ABC, **kwargs)
 
 
 def test_from_labels_round_trip():

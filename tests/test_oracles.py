@@ -10,7 +10,6 @@ from ccsm.errors import InputError
 from ccsm.families import FAMILY_NAMES, random_oracle
 from ccsm.ground import GroundSet
 from ccsm.lattice import RingFamily
-from ccsm.limits import _SENTINEL
 from ccsm.oracles import (
     Coverage,
     CutDirected,
@@ -302,10 +301,11 @@ def test_value_table_is_cached_and_complete():
     assert list(table) == scalar
 
 
-def test_range_bound_dominates_all_values():
+def test_bounds_hold_every_value():
     for oracle, _ in _random_oracles(seed=11):
         table = oracle.value_table()
-        assert int(np.abs(table).max()) <= oracle.range_bound
+        lo, hi = oracle.bounds
+        assert lo <= int(table.min()) and int(table.max()) <= hi
 
 
 @pytest.mark.parametrize(
@@ -343,21 +343,49 @@ def test_cells_are_the_scaled_values_mod_two_to_the_bits(dtype):
 
 
 def test_values_beyond_int64_headroom_are_refused():
-    # 2**62 + 2**62 wraps to -2**63 in int64; 2**63 does not fit at all.
-    for weights in ({"a": 2**62, "b": 2**62, "c": -5}, {"a": 2**63}):
-        with pytest.raises(InputError, match="int64"):
-            SubmodularOracle(ABC, Modular(weights))
-    with pytest.raises(InputError, match="int64"):
-        SubmodularOracle(ABC, CutUndirected((("a", "b", 2**63),)))
-    with pytest.raises(InputError, match="int64"):
-        SubmodularOracle(ABC, CutDirected((("a", "b", 2**63),)))
-    with pytest.raises(InputError, match="int64"):
-        SubmodularOracle(ABC, ExplicitTable((0,) * 7 + (2**63,)))
-    # The largest bound with (n + 2) * range_bound <= _SENTINEL is accepted.
-    limit = _SENTINEL // 5
-    assert SubmodularOracle(ABC, Modular({"a": -limit})).range_bound == limit
-    with pytest.raises(InputError, match="int64"):
-        SubmodularOracle(ABC, Modular({"a": -limit - 1}))
+    """The oracles hold their specs in Python ints, and only the int64
+    tables refuse: ``value_table`` once |f| may reach 2**62, where
+    2**62 + 2**62 would wrap to -2**63, and an explicit table, stored in
+    int64, at construction for an entry of 2**63."""
+    # Each spec with its value at {a, b}.
+    specs = (
+        (Modular({"a": 2**62, "b": 2**62, "c": -5}), 2**63),
+        (Modular({"a": 2**63}), 2**63),
+        (CutUndirected((("a", "c", 2**63),)), 2**63),
+        (CutDirected((("a", "c", 2**63),)), 2**63),
+    )
+    for spec, value in specs:
+        oracle = SubmodularOracle(ABC, spec)
+        assert oracle.eval(("a", "b")) == value
+        with pytest.raises(InputError, match="int64 value table"):
+            oracle.value_table()
+    for values in ((0,) * 7 + (2**63,), np.array((0,) * 7 + (2**63,), dtype=np.uint64)):
+        with pytest.raises(InputError, match="fit in int64"):
+            SubmodularOracle(ABC, ExplicitTable(values))
+
+
+def test_value_table_holds_values_below_two_to_the_62():
+    """|f| = 2**62 - 1 fits the int64 value table, and the submodularity
+    check's sums of two entries stay exact on it; 2**62 is refused."""
+    limit = 2**62 - 1
+    half = 2**61
+    for spec in (
+        Modular({"a": -limit, "b": limit}),
+        CutUndirected((("a", "b", half), ("b", "c", limit - half))),
+        CutDirected((("a", "b", half), ("c", "b", limit - half))),
+        ExplicitTable((0, -limit, limit, 0, 0, -limit, limit, 0)),
+    ):
+        oracle = SubmodularOracle(ABC, spec)
+        assert oracle.value_table().tolist() == [oracle.eval_mask(s) for s in range(8)]
+        assert check_submodular(oracle).ok
+    for spec in (
+        Modular({"a": -(2**62)}),
+        Modular({"a": 2**62}),
+        CutUndirected((("a", "b", half), ("b", "c", half))),
+        ExplicitTable((0,) * 7 + (2**62,)),
+    ):
+        with pytest.raises(InputError, match="int64 value table"):
+            SubmodularOracle(ABC, spec).value_table()
 
 
 def test_compiled_energies_have_only_nonpositive_pair_terms():
@@ -369,13 +397,13 @@ def test_compiled_energies_have_only_nonpositive_pair_terms():
         n = int(rng.integers(0, 11))
         for family in ("modular", "cut", "cut_directed"):
             oracle = random_oracle(rng, family, n)
-            b = oracle._b
-            assert b.shape == (n, n)
-            assert not np.triu(b).any()
+            a, b = oracle._a, oracle._b
+            assert len(a) == n and [len(row) for row in b] == list(range(n))
+            assert all(type(w) is int for w in a + sum(b, []))
             if family == "modular":
-                assert not b.any()
+                assert not any(sum(b, []))
             else:
-                assert (b <= 0).all()
+                assert all(w <= 0 for w in sum(b, []))
 
 
 def test_check_submodular_accepts_all_builtin_kinds():
