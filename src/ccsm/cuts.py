@@ -4,11 +4,12 @@ A cut problem selects a vertex set S and pays the weight of edges crossing
 the boundary (undirected) or leaving S (directed).  The ``mode`` fixes
 which S are feasible: a congruence on |S|, or even/odd intersections with
 given terminal sets.  With ``proper`` set, the trivial cuts (empty set and
-all vertices) are excluded by taking the best over all pinned runs that
-force one vertex inside and another outside; each pinned run is an
-ordinary lattice restriction, so exactness guarantees carry over.  The
-runs are not solved one by one: the enumeration's route answers them
-together, and computes their counters (``enumeration._table_route``).
+all vertices) are excluded by taking the best over the pinned runs that
+force the first vertex inside and another outside, or the reverse: every
+proper set is in one of them, and each pinned run is an ordinary lattice
+restriction, so exactness guarantees carry over.  The runs are not
+solved one by one: the enumeration's route answers them together from
+two half tables, and computes their counters (``enumeration._table_route``).
 """
 
 from __future__ import annotations
@@ -87,14 +88,15 @@ def _mode_constraint(mode: CutMode):
 def solve_cut(problem: CutProblem, depth: int | None = None) -> EnumSolution:
     """Solve the constrained cut problem exactly for prime-power moduli.
 
-    The proper variant takes the best feasible set over all n(n - 1)
-    pinned runs (u inside, v outside), which the enumeration's route
-    answers from one pair table at depth + 1; it also sums the runs'
-    counters, so ``sfm_calls`` and ``skipped_empty`` add up to
-    ``n * (n - 1) * pair_count(n, depth)``, though a run has only the
-    ``pair_count(n - 2, depth)`` pairs of the other vertices: the excess
-    counts as empty (README, ``--proper``).  Otherwise the counters are
-    those of one ``enum_solve`` run, which sum to ``pair_count(n, depth)``.
+    The proper variant takes the best feasible set over the 2(n - 1)
+    pinned runs (first vertex inside, v outside) and (v inside, first
+    vertex outside), which the enumeration's route answers from the two
+    halves of the cells; it also sums the runs' counters, so
+    ``sfm_calls`` and ``skipped_empty`` add up to
+    ``2 * (n - 1) * pair_count(n - 2, depth)``, the pairs of the other
+    vertices in every run (README, ``--proper``).  Otherwise the counters
+    are those of one ``enum_solve`` run, which sum to
+    ``pair_count(n, depth)``.
     """
     ground = GroundSet(problem.vertices)
     spec = CutDirected(problem.edges) if problem.directed else CutUndirected(problem.edges)

@@ -25,12 +25,13 @@ in ``_pinned_minimizers``:
   keeps every ``<=`` made below, so each row is the one cells of
   unbounded integers would give;
 - nodes: after t steps a node is a table of 2**(n - t) cells with the
-  |A| and |B| it has taken: cell c holds the least cell over the sets
-  that end in c and, on the top t bits, hold its A bits, avoid its B
-  bits and take any value on the rest.  Level 0 is the cells alone;
+  |A| <= d_A and |B| <= d_B it has taken: cell c holds the least cell
+  over the sets that end in c and, on the top t bits, hold its A bits,
+  avoid its B bits and take any value on the rest.  Level 0 is the
+  cells alone;
 - step: bit e = n - 1 - t is every node's top bit, so its halves h0 and
   h1 (bit e clear, set) are contiguous.  Each node gives a free child
-  min(h0, h1), one with |B| < d a B-child h0 and one with |A| < d an
+  min(h0, h1), one with |B| < d_B a B-child h0 and one with |A| < d_A an
   A-child h1: one ``np.minimum`` and one ``np.take`` for all nodes, and
   the free children's decisions h1 <= h0 are kept, packed 8 to a byte.
   After bit 0 each node is a pair's one cell: the least cell of
@@ -43,16 +44,17 @@ in ``_pinned_minimizers``:
   holds it: the set is the argmin greatest in bit-reversed order, on
   submodular input the only one, the inclusion-minimal minimizer of f.
 
-Level t has N_d(t) nodes, the pairs over t bits with |A|, |B| <= d, so
-the steps write the sum over t >= 1 of N_d(t) 2**(n - t) cells, 9 x 2**n
-at d = 1 and 35-38 x 2**n at d = 2, and the backtrack takes n steps per
-non-empty pair.  The largest level holds 1.75 x 2**n cells at d = 1 and
-4.4 x 2**n at d = 2, so a level that would pass max(2**n, 2**16) cells
-is built from pieces of the node list, one after another, each taken to
-its leaves before the next; a lone node passes its B- and A-children on
-as views of its halves.  The traced peak of a whole ``enum_solve`` on
-a cut, cells included, is 6.0-6.1 bytes a cell at d = 1 (n = 16 ... 24)
-and 9.7-10.6 at d = 2 (n = 20, 17).  The README gives timings.
+With both caps d, level t has N_d(t) nodes, the pairs over t bits with
+|A|, |B| <= d, so the steps write the sum over t >= 1 of
+N_d(t) 2**(n - t) cells, 9 x 2**n at d = 1 and 35-38 x 2**n at d = 2,
+and the backtrack takes n steps per non-empty pair.  The largest level
+holds 1.75 x 2**n cells at d = 1 and 4.4 x 2**n at d = 2, so a level
+that would pass max(2**n, 2**16) cells is built from pieces of the node
+list, one after another, each taken to its leaves before the next; a
+lone node passes its B- and A-children on as views of its halves.  The
+traced peak of a whole ``enum_solve`` on a cut, cells included, is
+6.0-6.1 bytes a cell at d = 1 (n = 16 ... 24) and 9.7-10.6 at d = 2
+(n = 20, 17).  The README gives timings.
 
 Each non-empty pair gets a row: its minimizer, |A| and |B|, in no order
 a reader relies on; the minimizer's g is base plus its own cell.  A
@@ -86,9 +88,15 @@ def pair_count(n: int, d: int) -> int:
     """Number of ordered disjoint pairs (A, B) with |A| <= d and |B| <= d."""
     if n < 0 or d < 0:
         raise InputError("pair_count needs n >= 0 and d >= 0")
+    return _pair_count(n, d, d)
+
+
+def _pair_count(n: int, da: int, db: int) -> int:
+    """Number of ordered disjoint pairs (A, B) of n elements with
+    |A| <= da and |B| <= db."""
     total = 0
-    for i in range(min(n, d) + 1):
-        for j in range(min(n - i, d) + 1):
+    for i in range(min(n, da) + 1):
+        for j in range(min(n - i, db) + 1):
             total += comb(n, i) * comb(n - i, j)
     return total
 
@@ -114,13 +122,13 @@ def _scaled_cells(oracle: SubmodularOracle, ring: RingFamily) -> tuple[np.ndarra
     return cells, base
 
 
-def _pinned_minimizers(cells: np.ndarray, n: int, d: int) -> _Rows:
-    """The node table of the pairs up to depth ``d``: per pair whose
-    interval [A, N - B] holds a member (a cell below ``top``, the maximum
-    of the cells' unsigned dtype), one row with the argmin of ``cells``
-    there that is greatest in bit-reversed order (an int64 mask), |A|
-    and |B|; the interval's least cell is the one at that mask.
-    ``cells`` is left as it is.
+def _pinned_minimizers(cells: np.ndarray, n: int, da: int, db: int) -> _Rows:
+    """The node table of the pairs with |A| <= ``da`` and |B| <= ``db``:
+    per pair whose interval [A, N - B] holds a member (a cell below
+    ``top``, the maximum of the cells' unsigned dtype), one row with the
+    argmin of ``cells`` there that is greatest in bit-reversed order (an
+    int64 mask), |A| and |B|; the interval's least cell is the one at
+    that mask.  ``cells``, which may be a strided view, is left as it is.
 
     The steps of the module docstring write the sum over t >= 1 of
     N_d(t) 2**(n - t) cells, and a level that would pass
@@ -128,13 +136,13 @@ def _pinned_minimizers(cells: np.ndarray, n: int, d: int) -> _Rows:
     take the 1-half on ties, so the backtrack, bit 0 first, sets each
     free bit that some argmin with the lower bits holds: the greedy walk
     that adds free bits lowest first while an argmin remains.  The leaves
-    must number ``pair_count(n, d)``.
+    must number ``_pair_count(n, da, db)``.
     """
-    d = min(n, d)
+    da, db = min(n, da), min(n, db)
     zero = np.zeros(1, dtype=np.int8)
     cap = max(1 << n, 1 << 16)
-    rows, leaves = _climb(_descend(cells.reshape(1, -1), zero, zero, d, cap))
-    assert leaves == pair_count(n, d)
+    rows, leaves = _climb(_descend(cells.reshape(1, -1), zero, zero, da, db, cap))
+    assert leaves == _pair_count(n, da, db)
     return rows
 
 
@@ -149,10 +157,11 @@ class _Rows(NamedTuple):
 
 
 def _descend(
-    tab: np.ndarray, asize: np.ndarray, bsize: np.ndarray, d: int, cap: int
+    tab: np.ndarray, asize: np.ndarray, bsize: np.ndarray, da: int, db: int, cap: int
 ) -> tuple[list, _Rows, int]:
     """Eliminate the top bit of the nodes ``tab``, one row of 2**e cells
-    each with |A| and |B| so far in ``asize`` and ``bsize``, until each
+    each with |A| and |B| so far in ``asize`` and ``bsize`` (capped at
+    ``da`` and ``db``), until each
     node is one cell, or until a level would pass ``cap`` cells and
     ``_split`` takes the nodes to their leaves.  Returns the steps taken
     for ``_climb``, the rows of the non-empty leaves, with ``node`` a node
@@ -162,12 +171,12 @@ def _descend(
     while tab.shape[1] > 1:
         half = tab.shape[1] >> 1
         h0, h1 = tab[:, :half], tab[:, half:]
-        bside = np.flatnonzero(bsize < d)
-        aside = np.flatnonzero(asize < d)
+        bside = np.flatnonzero(bsize < db)
+        aside = np.flatnonzero(asize < da)
         free = len(tab)
         count = free + len(bside) + len(aside)
         if count * half > cap:
-            return steps, *_split(tab, asize, bsize, d, cap, count * half)
+            return steps, *_split(tab, asize, bsize, da, db, cap, count * half)
         # Children in the order free, B, A.  Row 2i of the halves is h0 of
         # node i and row 2i + 1 its h1; mode="clip" lets take write
         # straight into ``out``.
@@ -198,7 +207,7 @@ def _climb(descent: tuple[list, _Rows, int]) -> tuple[_Rows, int]:
 
 
 def _split(
-    tab: np.ndarray, asize: np.ndarray, bsize: np.ndarray, d: int, cap: int, size: int
+    tab: np.ndarray, asize: np.ndarray, bsize: np.ndarray, da: int, db: int, cap: int, size: int
 ) -> tuple[_Rows, int]:
     """``_descend`` and ``_climb`` on nodes whose children would take
     ``size`` > ``cap`` cells.  Several nodes go on in ceil(size / cap)
@@ -212,19 +221,19 @@ def _split(
         pieces = min(k, -(-size // cap))
         bounds = [k * i // pieces for i in range(pieces + 1)]
         parts = [
-            _climb(_descend(tab[lo:hi], asize[lo:hi], bsize[lo:hi], d, cap))
+            _climb(_descend(tab[lo:hi], asize[lo:hi], bsize[lo:hi], da, db, cap))
             for lo, hi in zip(bounds, bounds[1:])
         ]
         return _join(parts, bounds)
     h0, h1 = tab[:, :half], tab[:, half:]
-    parts = [_climb(_descend(np.minimum(h0, h1), asize, bsize, d, cap))]
-    if bsize[0] < d:
-        parts.append(_climb(_descend(h0, asize, bsize + 1, d, cap)))
-    if asize[0] < d:
-        parts.append(_climb(_descend(h1, asize + 1, bsize, d, cap)))
+    parts = [_climb(_descend(np.minimum(h0, h1), asize, bsize, da, db, cap))]
+    if bsize[0] < db:
+        parts.append(_climb(_descend(h0, asize, bsize + 1, da, db, cap)))
+    if asize[0] < da:
+        parts.append(_climb(_descend(h1, asize + 1, bsize, da, db, cap)))
     rows, leaves = _join(parts, range(len(parts)))
     parents = np.zeros(len(parts) - 1, dtype=np.int64)
-    return _backtrack(rows, _decisions(h0, h1), 1, 1 + int(bsize[0] < d), parents, half), leaves
+    return _backtrack(rows, _decisions(h0, h1), 1, 1 + int(bsize[0] < db), parents, half), leaves
 
 
 def _decisions(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
@@ -278,24 +287,41 @@ def _table_route(
 ) -> _Candidates:
     """The candidates of the pairs up to ``depth`` from the node table.
 
-    With ``proper``, the candidates of all n(n - 1) pinned runs of a
-    proper cut (u inside, v outside), read off one table at depth + 1:
-    the pinned pair (A, B) of run (u, v) is the unpinned pair
-    (A + u, B + v), so the runs together cover exactly the table pairs
-    whose sides are both non-empty, and a non-empty one of those is used
-    by |A| * |B| runs.  So ``sfm_calls`` is the sum of |A| * |B| over the
-    table's rows and the pair total is n(n - 1) ``pair_count(n, depth)``.
+    With ``proper``, the candidates of the 2(n - 1) runs of a proper cut
+    anchored at element 0, (0 inside, v outside) and (v inside, 0
+    outside), which together hold every proper set.  Each run's pinned
+    pairs (A, B) are over the other n - 2 elements, so a run has
+    ``pair_count(n - 2, depth)`` of them.  They are read off two tables
+    over the n - 1 elements after 0, the halves of the cells where 0 is
+    in and where it is out: pair (A, B) of run (0, v) is the 0-in pair
+    (A, B + v), with |A| <= depth and |B + v| <= depth + 1, and a 0-in
+    pair (A, B') with B' non-empty is used by the |B'| runs (0, v), v in
+    B'; the 0-out half is the same with the sides swapped.  So
+    ``sfm_calls`` sums |B'| over the 0-in rows and |A'| over the 0-out
+    rows, and the pair total is 2(n - 1) ``pair_count(n - 2, depth)``.
+    With n < 2 there is no run.
     """
     n = oracle.ground.n
     require_exhaustible(n, "pair-enumeration solving")
+    if proper and n < 2:
+        return _Candidates([], [], 0, 0)
     cells, base = _scaled_cells(oracle, ring)
-    rows = _pinned_minimizers(cells, n, depth + proper)
-    setmask = rows.setmask
-    sfm_calls, pairs = len(setmask), pair_count(n, depth)
     if proper:
-        runs = np.multiply(rows.asize, rows.bsize, dtype=np.int64)
-        setmask = setmask[runs != 0]
-        sfm_calls, pairs = int(runs.sum()), n * (n - 1) * pairs
+        # Bit 0 is element 0, so column 1 of the cell pairs is the 0-in half.
+        halves = cells.reshape(-1, 2)
+        inside = _pinned_minimizers(halves[:, 1], n - 1, depth, depth + 1)
+        outside = _pinned_minimizers(halves[:, 0], n - 1, depth + 1, depth)
+        setmask = np.concatenate(
+            (
+                (inside.setmask[inside.bsize != 0] << 1) | 1,
+                outside.setmask[outside.asize != 0] << 1,
+            )
+        )
+        sfm_calls = int(inside.bsize.sum(dtype=np.int64) + outside.asize.sum(dtype=np.int64))
+        pairs = 2 * (n - 1) * pair_count(n - 2, depth)
+    else:
+        setmask = _pinned_minimizers(cells, n, depth, depth).setmask
+        sfm_calls, pairs = len(setmask), pair_count(n, depth)
     # Sort and diff: the first plain np.unique call imports numpy.ma, which
     # leaves objects for the cyclic GC.
     sets = np.sort(setmask)
@@ -317,7 +343,8 @@ class EnumSolution:
     not an error).  ``candidates`` counts distinct minimal minimizers;
     ``sfm_calls`` counts pairs whose sublattice was non-empty and
     ``skipped_empty`` the rest, so the two sum to ``pair_count(n, depth)``;
-    a proper ``solve_cut`` sums them over its pinned runs instead.
+    a proper ``solve_cut`` sums them over its 2(n - 1) pinned runs, which
+    have ``pair_count(n - 2, depth)`` pairs each.
     ``route`` names how the pinned minimizers were computed; the only
     route is ``"table"``, the node table's bit elimination over cells
     written from the oracle's spec.

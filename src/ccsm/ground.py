@@ -90,6 +90,12 @@ class GroundSet:
             raise InputError(f"unknown element label {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
+        """The mask of ``labels``; ``InputError`` for a label outside the
+        ground set, or for a ``str``, as in ``label_set``."""
+        if isinstance(labels, str):
+            raise InputError(
+                f"a label set must be a collection of labels, got the string {labels!r}"
+            )
         mask = 0
         for lab in labels:
             mask |= 1 << self.index(lab)

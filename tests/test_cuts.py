@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,8 @@ def test_triangle_proper_odd_cut_is_a_singleton():
     assert solution.best == frozenset({"a"})
     assert solution.guaranteed
     n = 3
-    assert solution.sfm_calls + solution.skipped_empty == n * (n - 1) * pair_count(n, 1)
+    assert solution.sfm_calls + solution.skipped_empty == 2 * (n - 1) * pair_count(n - 2, 1)
+    assert solution.skipped_empty == 0
 
 
 def test_four_cycle_odd_tset_pair():
@@ -178,18 +181,18 @@ def test_proper_counters_aggregate_over_runs():
             labels, edges, False, CongruencyConstraint(m, 0), proper=True
         )
         solution = solve_cut(problem)
-        runs = n * (n - 1)
-        assert solution.sfm_calls + solution.skipped_empty == runs * pair_count(
-            n, solution.depth
-        )
-        # On the full ring no pinned pair is empty, and run (u, v) uses one
-        # shared-table pair for each of its pairs that avoids u and v.
-        assert solution.sfm_calls == runs * pair_count(n - 2, solution.depth)
+        # The 2(n - 1) runs anchored at the first vertex each pin the pairs
+        # of the other n - 2 vertices, and on the full ring none is empty.
+        runs = 2 * (n - 1)
+        pairs = runs * pair_count(n - 2, solution.depth)
+        assert solution.sfm_calls + solution.skipped_empty == pairs
+        assert solution.skipped_empty == 0
 
 
 def test_proper_cut_equals_its_explicitly_pinned_runs():
-    # Run (u, v) forces u inside and v outside; together the n(n - 1) runs
-    # must collect the proper solve's candidates and answer with its best.
+    # Run (u, v) forces u inside and v outside.  The 2(n - 1) runs with
+    # u or v the first vertex must collect the proper solve's candidates,
+    # and its answer must be the best over all n(n - 1) runs.
     rng = np.random.default_rng(25)
     for trial in range(40):
         n = int(rng.integers(2, 7))
@@ -201,22 +204,23 @@ def test_proper_cut_equals_its_explicitly_pinned_runs():
         ground = GroundSet(labels)
         spec = CutDirected(edges) if directed else CutUndirected(edges)
         oracle = SubmodularOracle(ground, spec)
-        runs = [
-            enum_solve(
+        runs = {
+            (u, v): enum_solve(
                 oracle,
                 RingFamily(ground, 1 << u, 1 << v),
                 _mode_constraint(mode),
                 solution.depth,
             )
-            for u in range(n)
-            for v in range(n)
-            if u != v
-        ]
-        pooled = set().union(*(run.candidate_sets for run in runs))
+            for u, v in permutations(range(n), 2)
+        }
+        anchored = [run for (u, v), run in runs.items() if 0 in (u, v)]
+        pooled = set().union(*(run.candidate_sets for run in anchored))
         assert set(solution.candidate_sets) == pooled, (trial, mode)
         card_lex = card_lex_key(labels)
         answers = [
-            (run.value, card_lex(run.best), run.best) for run in runs if run.best is not None
+            (run.value, card_lex(run.best), run.best)
+            for run in runs.values()
+            if run.best is not None
         ]
         if not answers:
             assert solution.best is None and solution.value is None

@@ -17,6 +17,7 @@ from ccsm.constraints import (
 )
 from ccsm.cuts import CutProblem, solve_cut
 from ccsm.enumeration import (
+    _pair_count,
     _pinned_minimizers,
     _scaled_cells,
     enum_solve,
@@ -59,6 +60,16 @@ def test_pair_count_matches_direct_enumeration():
         labels = [str(i) for i in range(n)]
         for d in range(0, 7):
             assert pair_count(n, d) == len(naive_pairs(labels, d))
+
+
+def test_two_cap_pair_count_matches_direct_enumeration():
+    for n in range(6):
+        labels = list(range(n))
+        for da in range(n + 2):
+            for db in range(n + 2):
+                pairs = naive_pairs(labels, max(da, db))
+                want = sum(len(a) <= da and len(b) <= db for a, b in pairs)
+                assert _pair_count(n, da, db) == want
 
 
 def test_pair_count_saturates_at_three_to_the_n():
@@ -117,7 +128,7 @@ def _node_table(oracle, ring, d):
     """The node table of ``oracle`` on ``ring`` up to depth ``d``, as
     ``_rows_by_sizes`` gives it."""
     cells, base = _scaled_cells(oracle, ring)
-    return _rows_by_sizes(_pinned_minimizers(cells, oracle.ground.n, d), cells, base)
+    return _rows_by_sizes(_pinned_minimizers(cells, oracle.ground.n, d, d), cells, base)
 
 
 @pytest.mark.parametrize("cases", sorted(NODE_TABLE_CASES))
@@ -179,20 +190,22 @@ def _any_tables(rng):
             yield n, np.full(1 << n, np.iinfo(width).max, dtype=width), base
 
 
-def _interval_rows(cells, base, n, d, batch=1 << 21):
+def _interval_rows(cells, base, n, da, db, batch=1 << 21):
     """The node table's rows by brute force, sorted as ``_rows_by_sizes``
-    sorts them: per pair (A, B) whose interval [A, N - B] holds a cell
+    sorts them: per pair (A, B) with |A| <= ``da`` and |B| <= ``db``
+    whose interval [A, N - B] holds a cell
     below the width's top, (|A|, |B|, argmin, base + minimum), where the
     argmin is the one greatest in bit-reversed order.  The cells of each
     interval are gathered by index, ``batch`` cells at a time."""
     top = np.iinfo(cells.dtype).max
-    pairs = naive_pairs(range(n), d)
+    pairs = naive_pairs(range(n), max(da, db))
+    pairs = [(a, b) for a, b in pairs if len(a) <= da and len(b) <= db]
     want = []
     # Pairs with equal |A| + |B| = u have intervals of 2**(n - u) cells.
     # Column k of an interval is A plus the free bits picked by k's bits,
     # the lowest free bit by k's top bit, so k orders the sets as their
     # bit-reversed masks do and the pick is the last tie.
-    for u in range(min(n, 2 * d) + 1):
+    for u in range(min(n, da + db) + 1):
         group = [(a, b) for a, b in pairs if len(a) + len(b) == u]
         step = max(1, batch >> (n - u))
         for at in range(0, len(group), step):
@@ -228,8 +241,34 @@ def test_pinned_entries_attain_the_interval_minimum_on_any_table():
     rng = np.random.default_rng(35)
     for n, cells, base in _any_tables(rng):
         d = int(rng.integers(0, n + 2))
-        want = _interval_rows(cells, base, n, d)
-        assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d), cells, base) == want
+        want = _interval_rows(cells, base, n, d, d)
+        assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d, d), cells, base) == want
+
+
+def test_pinned_entries_attain_the_interval_minimum_under_unequal_caps():
+    """As above with the caps of a proper cut's half tables, |A| <= d,
+    |B| <= d + 1 and the reverse: each row's pair keeps its own caps, so
+    a cap on one side never trims the other.  ``_pinned_minimizers``
+    checks its leaves against ``_pair_count(n, da, db)``."""
+    rng = np.random.default_rng(37)
+    for n, cells, base in _any_tables(rng):
+        d = int(rng.integers(0, n + 1))
+        for da, db in ((d, d + 1), (d + 1, d)):
+            want = _interval_rows(cells, base, n, da, db)
+            rows = _pinned_minimizers(cells.copy(), n, da, db)
+            assert _rows_by_sizes(rows, cells, base) == want
+
+
+def _large_tables(width):
+    """Tables of 2**15 and 2**16 cells of ``width`` with ties and 30 %
+    holes: levels pass the cap of max(2**n, 2**16) cells."""
+    rng = np.random.default_rng(36)
+    top = np.iinfo(width).max
+    values = np.array([0, 1, 2, 3, top - 1], dtype=width)
+    for n in (15, 16):
+        cells = rng.choice(values, size=1 << n)
+        cells[rng.random(1 << n) < 0.3] = top
+        yield n, cells
 
 
 @pytest.mark.parametrize("width", [np.uint16, np.uint32], ids=["uint16", "uint32"])
@@ -238,17 +277,24 @@ def test_pinned_entries_attain_the_interval_minimum_on_large_tables(width):
     cap of max(2**n, 2**16) cells and ``_split`` takes over: at n = 16,
     d = 1 the lone first node passes its B- and A-children on as views of
     its halves, at d = 2 node lists also go on in pieces (three to six
-    splits a table), and at d = 3, the depth of a proper cut's table, the
-    pieces split again level after level (nine splits at n = 15)."""
-    rng = np.random.default_rng(36)
-    top = np.iinfo(width).max
-    values = np.array([0, 1, 2, 3, top - 1], dtype=width)
-    for n, depths in ((15, (1, 2, 3)), (16, (1, 2))):
-        cells = rng.choice(values, size=1 << n)
-        cells[rng.random(1 << n) < 0.3] = top
-        for d in depths:
-            want = _interval_rows(cells, -7, n, d)
-            assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d), cells, -7) == want
+    splits a table), and at d = 3 the pieces split again level after
+    level (nine splits at n = 15)."""
+    for n, cells in _large_tables(width):
+        for d in {15: (1, 2, 3), 16: (1, 2)}[n]:
+            want = _interval_rows(cells, -7, n, d, d)
+            assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, d, d), cells, -7) == want
+
+
+@pytest.mark.parametrize("width", [np.uint16, np.uint32], ids=["uint16", "uint32"])
+def test_pinned_entries_attain_the_interval_minimum_on_large_tables_under_unequal_caps(width):
+    """As above with the half tables' caps (d, d + 1) and (d + 1, d): at
+    n = 16, caps 1 and 2, the lone first node passes its children on as
+    views and a node list then goes on in pieces; at n = 15, caps 2 and
+    3, node lists go on in pieces five times a table."""
+    for n, cells in _large_tables(width):
+        for da, db in {15: ((2, 3), (3, 2)), 16: ((1, 2), (2, 1))}[n]:
+            want = _interval_rows(cells, -7, n, da, db)
+            assert _rows_by_sizes(_pinned_minimizers(cells.copy(), n, da, db), cells, -7) == want
 
 
 def test_a_solve_leaves_no_garbage_cycle():
@@ -517,8 +563,9 @@ def test_solves_whose_levels_split_match_the_reference(family):
 
 
 def test_a_proper_cut_whose_levels_split_matches_a_dense_scan():
-    """A proper cut at n = 16, m = 2 (a node table at depth 2) against a
-    scan of all 2**16 sets: value and (cardinality, lex) first optimum."""
+    """A proper cut at n = 16, m = 2 (two half tables over 15 vertices
+    with caps 1 and 2, whose levels go on in pieces) against a scan of
+    all 2**16 sets: value and (cardinality, lex) first optimum."""
     rng = np.random.default_rng(65)
     n = 16
     labels = tuple(f"x{i}" for i in range(n))

@@ -15,6 +15,8 @@ from ccsm.ground import (
     popcount_array,
     reversed_bits_array,
 )
+from ccsm.lattice import RingFamily
+from ccsm.oracles import Modular, SubmodularOracle
 
 
 def test_popcount_matches_bin_count():
@@ -68,6 +70,27 @@ def test_ground_set_rejects_duplicates_and_unknown_labels():
         g.mask_of(("z",))
     with pytest.raises(InputError):
         g.index("z")
+
+
+_AB = GroundSet(("a", "b", "ab"))
+_AB_ORACLE = SubmodularOracle(_AB, Modular({"a": 1, "b": 2, "ab": 5}))
+# Each entry point taking a label set, and what it gives for ["ab"].
+_STRING_LABEL_SETS = {
+    "ring_forced_in": (lambda s: RingFamily.from_labels(_AB, forced_in=s).forced_in, 0b100),
+    "ring_member": (lambda s: RingFamily.full(_AB).member(s), True),
+    "oracle_eval": (_AB_ORACLE.eval, 5),
+}
+
+
+@pytest.mark.parametrize("use", sorted(_STRING_LABEL_SETS))
+def test_mask_of_refuses_a_string_label_set(use):
+    """On the ground (a, b, ab) the string "ab" would split into the
+    labels a and b; ``mask_of`` refuses it, and ["ab"] names the one
+    element ab."""
+    entry, want = _STRING_LABEL_SETS[use]
+    with pytest.raises(InputError, match="got the string 'ab'"):
+        entry("ab")
+    assert entry(["ab"]) == want
 
 
 def test_card_lex_order_prefers_small_then_early_bits():

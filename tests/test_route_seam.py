@@ -36,10 +36,10 @@ def _pairs(elements, d):
 
 def _brute_route(oracle, ring, depth, proper):
     """The route by a masked minimum per pair over ``value_table()`` and
-    ``feasibility_table()``.  With ``proper``, the n(n - 1) runs (u in,
-    v out) each take the pairs of the other elements, and every pair
-    whose interval holds a member counts one minimization; the pair
-    total counts n(n - 1) runs of ``depth`` over all n elements."""
+    ``feasibility_table()``.  With ``proper``, the 2(n - 1) runs (0 in,
+    v out) and (v in, 0 out) each take the pairs of the other elements.
+    Every pair whose interval holds a member counts one minimization,
+    and the pair total counts every pair of every run."""
     n = oracle.ground.n
     assert n <= 9
     f = oracle.value_table().tolist()
@@ -53,19 +53,19 @@ def _brute_route(oracle, ring, depth, proper):
             return hits[0]
         return None
 
-    runs = [(u, v) for u in range(n) for v in range(n) if u != v] if proper else [None]
+    runs = [run for v in range(1, n) for run in ((0, v), (v, 0))] if proper else [None]
     found = {}
-    sfm_calls = 0
+    sfm_calls = pairs = 0
     for run in runs:
         rest = [i for i in range(n) if run is None or i not in run]
         for a, b in _pairs(rest, depth):
+            pairs += 1
             inside = sum(1 << i for i in a) | (0 if run is None else 1 << run[0])
             outside = sum(1 << i for i in b) | (0 if run is None else 1 << run[1])
             hit = pinned_min(inside, outside)
             if hit is not None:
                 sfm_calls += 1
                 found[hit[1]] = hit[0]
-    pairs = sum(1 for _ in _pairs(range(n), depth)) * len(runs)
     order = sorted(found, key=lambda s: (found[s], [i for i in range(n) if s >> i & 1]))
     return order, [found[s] for s in order], sfm_calls, pairs
 
